@@ -1,6 +1,7 @@
-//! D10 (server): request throughput and the 24 h aggregation batch cost as
-//! the database grows — the numbers behind the claim that a single modest
-//! server sustains the paper's deployment. D11 (reactor, BENCH_REACTOR in
+//! D10 (server): the 24 h aggregation batch cost as the database grows,
+//! cached report reads, registration, the flood guard and a reconnecting
+//! client — the layers perfbench's end-to-end runs do not isolate (its
+//! `BENCH_*.json` ledger holds request latency and throughput). D11 (reactor, BENCH_REACTOR in
 //! EXPERIMENTS.md): the front-end concurrency sweep A/B-ing the
 //! thread-per-connection pool against the epoll reactor under mixed
 //! idle+active connection loads, plus a steady-state allocation probe
@@ -96,45 +97,6 @@ fn server_over(db: ReputationDb) -> ReputationServer {
     )
 }
 
-fn bench_request_throughput(c: &mut Criterion) {
-    let db = seeded_db(200, 500, 5_000, 1);
-    db.force_aggregation(Timestamp(2)).unwrap();
-    let server = server_over(db);
-
-    // A live session for the vote path.
-    let Response::Session { token } = server.handle(
-        &Request::Login { username: "user00000".into(), password: "pw".into() },
-        "bench-client",
-    ) else {
-        panic!("login failed")
-    };
-
-    let mut group = c.benchmark_group("server_requests");
-    group.throughput(Throughput::Elements(1));
-    let query = Request::QuerySoftware { software_id: sw_id(7) };
-    group.bench_function("query_software", |b| {
-        b.iter(|| server.handle(black_box(&query), "bench-client"))
-    });
-    let vendor = Request::QueryVendor { vendor: "Acme".into() };
-    group.bench_function("query_vendor", |b| {
-        b.iter(|| server.handle(black_box(&vendor), "bench-client"))
-    });
-    let mut i = 0u64;
-    group.bench_function("submit_vote", |b| {
-        b.iter(|| {
-            i += 1;
-            let vote = Request::SubmitVote {
-                session: token.clone(),
-                software_id: sw_id(i % 500),
-                score: ((i % 10) + 1) as u8,
-                behaviours: vec![],
-            };
-            server.handle(&vote, "bench-client")
-        })
-    });
-    group.finish();
-}
-
 /// Parallel report queries against a warm cache: the report cache is a
 /// `RwLock`, so concurrent hits share the read lock instead of queueing
 /// on the mutex the cache used before the concurrent-storage work. One
@@ -221,11 +183,10 @@ fn bench_registration_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// The TCP front end's framed round-trip: the in-process `server.handle`
-/// numbers above, plus framing, the socket, and the worker pool. The
-/// reconnect variant prices what the reconnect-per-request flooder pays
-/// per attempt (connection setup dominates — throttling it is cheap for
-/// us and expensive for them).
+/// A framed round trip on a fresh connection per request: what the
+/// reconnect-per-request flooder pays per attempt (connection setup
+/// dominates — throttling it is cheap for us and expensive for them).
+/// The keep-alive round trip is perfbench's `query_p50_us`.
 fn bench_tcp_round_trip(c: &mut Criterion) {
     let db = seeded_db(50, 100, 1_000, 3);
     db.force_aggregation(Timestamp(2)).unwrap();
@@ -237,10 +198,6 @@ fn bench_tcp_round_trip(c: &mut Criterion) {
     let mut group = c.benchmark_group("tcp_round_trip");
     group.throughput(Throughput::Elements(1));
     group.sample_size(20);
-    let mut client = TcpClient::connect(addr).expect("connect");
-    group.bench_function("persistent_connection", |b| {
-        b.iter(|| client.call(black_box(&query)).expect("call"))
-    });
     group.bench_function("reconnect_per_request", |b| {
         b.iter(|| {
             let mut fresh = TcpClient::connect(addr).expect("connect");
@@ -248,7 +205,6 @@ fn bench_tcp_round_trip(c: &mut Criterion) {
         })
     });
     group.finish();
-    drop(client);
     tcp.shutdown();
 }
 
@@ -425,12 +381,10 @@ fn alloc_probe(_c: &mut Criterion) {
     }
 }
 
-/// BENCH_REPL (EXPERIMENTS.md): replication catch-up. `tail` measures the
-/// steady-state WAL-shipping rate — a fresh replica subscribing at seq 0
-/// against a primary whose log still holds every entry drains it page by
-/// page; entries/s is the headline number. `bootstrap` measures the cold
-/// path — the primary's log has been compacted away, so the replica must
-/// pull a full snapshot and install it before it can tail.
+/// BENCH_REPL (EXPERIMENTS.md): a replica's cold join. The primary's log
+/// has been compacted away, so a fresh replica must pull a full snapshot
+/// and install it before it can tail. Tailing an intact log is
+/// perfbench's replica-catchup `capacity_per_s`.
 fn bench_replication_catchup(c: &mut Criterion) {
     use softrep_core::db::ReputationDb as Db;
     use softrep_crypto::salted::SecretPepper;
@@ -471,8 +425,8 @@ fn bench_replication_catchup(c: &mut Criterion) {
 
     /// Spawn a tail against `addr`, block until the replica's watermark
     /// reaches `target`, and tear the replica down again.
-    fn catch_up(addr: std::net::SocketAddr, target: u64, which: &str) {
-        let dir = bench_dir(which);
+    fn catch_up(addr: std::net::SocketAddr, target: u64) {
+        let dir = bench_dir("replica");
         let replica = file_backed(&dir);
         let store = Arc::clone(replica.db().store());
         let tail = ReplicaTail::spawn_with(Arc::clone(&replica), addr.to_string(), fast_tail())
@@ -489,9 +443,6 @@ fn bench_replication_catchup(c: &mut Criterion) {
     let mut group = c.benchmark_group("replication_catchup");
     group.sample_size(10);
     for &entries in entry_counts {
-        // One primary per size, shared by both variants: `tail` subscribes
-        // while the log is intact, then the log is compacted away for
-        // `bootstrap`.
         let dir = bench_dir("primary");
         let primary = file_backed(&dir);
         let store = Arc::clone(primary.db().store());
@@ -509,19 +460,15 @@ fn bench_replication_catchup(c: &mut Criterion) {
             }
         }
         let target = store.committed_seq();
+        // Retire the log: every fresh subscriber has to bootstrap from a
+        // snapshot before it can follow the (empty) suffix.
+        store.compact().expect("compact");
         let tcp = TcpServer::spawn(Arc::clone(&primary), "127.0.0.1:0").expect("bind loopback");
         let addr = tcp.local_addr();
 
         group.throughput(Throughput::Elements(entries as u64));
-        group.bench_with_input(BenchmarkId::new("tail", entries), &entries, |b, _| {
-            b.iter(|| catch_up(addr, target, "tail"))
-        });
-
-        // Retire the log: every fresh subscriber now has to bootstrap from
-        // a snapshot before it can follow the (empty) suffix.
-        store.compact().expect("compact");
         group.bench_with_input(BenchmarkId::new("bootstrap", entries), &entries, |b, _| {
-            b.iter(|| catch_up(addr, target, "boot"))
+            b.iter(|| catch_up(addr, target))
         });
 
         tcp.shutdown();
@@ -534,7 +481,6 @@ fn bench_replication_catchup(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_request_throughput,
     bench_concurrent_cached_reads,
     bench_aggregation,
     bench_registration_path,

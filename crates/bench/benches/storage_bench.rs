@@ -72,32 +72,6 @@ fn bench_scans(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_recovery(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store_recovery");
-    group.sample_size(10);
-    for entries in [1_000usize, 10_000] {
-        let dir = std::env::temp_dir()
-            .join(format!("softrep-bench-recover-{entries}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let store = Store::open(&dir).unwrap();
-            for i in 0..entries as u64 {
-                store.put("t", i.to_be_bytes().to_vec(), vec![0u8; 48]).unwrap();
-            }
-            store.sync().unwrap();
-        }
-        group.throughput(Throughput::Elements(entries as u64));
-        group.bench_with_input(BenchmarkId::new("wal_replay", entries), &dir, |b, dir| {
-            b.iter(|| {
-                let store = Store::open(dir).unwrap();
-                black_box(store.tree_len("t"));
-            })
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    group.finish();
-}
-
 /// The pre-striping store design, reconstructed as a baseline: one mutex
 /// (the same lock type the old `store.rs` used) over the whole tree map,
 /// with the WAL append + flush performed while that mutex is held —
@@ -374,7 +348,6 @@ criterion_group!(
     bench_store_writes,
     bench_durable_store,
     bench_scans,
-    bench_recovery,
     bench_concurrent_reads,
     bench_group_commit,
     bench_aggregation

@@ -621,14 +621,23 @@ impl ReputationDb {
             }
         };
 
-        self.remarks.put(
-            &key,
-            &RemarkRecord { rater: rater.to_string(), comment_id, positive, made_at: now },
-        )?;
-
-        if delta != 0.0 {
-            self.adjust_trust_locked(&comment.author, delta, now)?;
-        }
+        // The remark, the author's trust change and its dirty marks land in
+        // one batch, so a crash keeps all of them or none.
+        let mut batch = WriteBatch::new();
+        batch.put(
+            self.remarks.tree(),
+            key.to_key_bytes(),
+            RemarkRecord { rater: rater.to_string(), comment_id, positive, made_at: now }
+                .encode_to_bytes()
+                .to_vec(),
+        );
+        let dirtied = if delta != 0.0 {
+            self.stage_trust_delta(&mut batch, &comment.author, delta, now)?.1
+        } else {
+            0
+        };
+        self.store.apply(&batch)?;
+        self.agg_counters.dirty_marks.fetch_add(dirtied, Ordering::Relaxed);
         self.report_cache.write().remove(&comment.software_id);
         Ok(())
     }
@@ -660,34 +669,41 @@ impl ReputationDb {
     /// Adjust a user's trust factor through the engine (cap + clamp).
     pub fn adjust_trust(&self, username: &str, delta: f64, now: Timestamp) -> CoreResult<f64> {
         let _write = self.write_gate.lock();
-        self.adjust_trust_locked(username, delta, now)
+        let mut batch = WriteBatch::new();
+        let (applied, dirtied) = self.stage_trust_delta(&mut batch, username, delta, now)?;
+        self.store.apply(&batch)?;
+        self.agg_counters.dirty_marks.fetch_add(dirtied, Ordering::Relaxed);
+        Ok(applied)
     }
 
-    /// [`adjust_trust`](Self::adjust_trust) body, for callers already
-    /// holding the write gate (the gate is not re-entrant).
-    fn adjust_trust_locked(&self, username: &str, delta: f64, now: Timestamp) -> CoreResult<f64> {
+    /// Stage a trust change into `batch`: the updated trust record and,
+    /// when the weight moved, a dirty mark for every title the user voted
+    /// on (dirty rule 2). Record and marks commit in the caller's one
+    /// batch, so a crash can never keep the new trust without the marks
+    /// that schedule its recompute. Returns the applied delta and the
+    /// number of marks staged. The caller holds the write gate.
+    fn stage_trust_delta(
+        &self,
+        batch: &mut WriteBatch,
+        username: &str,
+        delta: f64,
+        now: Timestamp,
+    ) -> CoreResult<(f64, u64)> {
         let key = username.to_string();
         let mut record =
             self.trust.get(&key)?.unwrap_or_else(|| TrustEngine::new_user(username, now));
         let applied = TrustEngine::apply_delta(&mut record, delta, now);
-        self.trust.put(&key, &record)?;
+        batch.put(self.trust.tree(), key.to_key_bytes(), record.encode_to_bytes().to_vec());
+        let mut dirtied = 0u64;
         if applied != 0.0 {
-            // The user's weight changed, so every rating their ballot
-            // contributes to is stale: dirty all of them (dirty rule 2).
-            // Collect first, write after — the visitor runs under the
-            // index's shard read lock and must not re-enter the store.
-            let mut marks = WriteBatch::new();
-            let mut dirtied = 0u64;
+            // The visitor runs under the index's shard read lock; it only
+            // stages into the batch, never re-enters the store.
             self.votes_by_user.for_each_key_prefix(&key, |(_, software_id), _| {
-                marks.put(AGG_DIRTY_TREE, software_id.to_key_bytes(), Vec::new());
+                batch.put(AGG_DIRTY_TREE, software_id.to_key_bytes(), Vec::new());
                 dirtied += 1;
             })?;
-            if !marks.is_empty() {
-                self.store.apply(&marks)?;
-                self.agg_counters.dirty_marks.fetch_add(dirtied, Ordering::Relaxed);
-            }
         }
-        Ok(applied)
+        Ok((applied, dirtied))
     }
 
     // -----------------------------------------------------------------

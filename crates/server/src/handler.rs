@@ -114,7 +114,7 @@ impl ReputationServer {
     }
 
     /// The shared counter sink. The TCP front end records transport events
-    /// here, so one snapshot covers both transport and aggregation work.
+    /// here; aggregation work is counted by the db's `aggregation_stats()`.
     pub fn stats_handle(&self) -> Arc<ServerStats> {
         Arc::clone(&self.stats)
     }
@@ -145,21 +145,14 @@ impl ReputationServer {
     pub fn tick(&self) -> usize {
         let now = self.clock.now();
         self.sessions.prune(now);
-        let before = self.db.aggregation_stats().incremental_runs;
-        let recomputed = self.db.run_aggregation_if_due(now).unwrap_or(0);
-        if self.db.aggregation_stats().incremental_runs > before {
-            self.stats.record_aggregation_incremental(recomputed as u64);
-        }
-        recomputed
+        self.db.run_aggregation_if_due(now).unwrap_or(0)
     }
 
     /// Operator command: run the paper-faithful full batch immediately,
     /// regardless of schedule or dirty set. Returns the number of ratings
     /// recomputed.
     pub fn run_full_aggregation(&self) -> usize {
-        let recomputed = self.db.force_aggregation_full(self.clock.now()).unwrap_or(0);
-        self.stats.record_aggregation_full(recomputed as u64);
-        recomputed
+        self.db.force_aggregation_full(self.clock.now()).unwrap_or(0)
     }
 
     /// One coherent Prometheus-style snapshot of the whole process: the
@@ -790,13 +783,13 @@ mod tests {
         );
         clock.advance_days(1);
         assert_eq!(server.tick(), 1, "fresh vote dirtied the title for the next batch");
-        let stats = server.stats_handle().snapshot();
-        assert!(stats.agg_incremental_runs >= 3, "every due tick counts as a run");
-        assert_eq!(stats.agg_titles_recomputed, 2);
+        let agg = server.db().aggregation_stats();
+        assert!(agg.incremental_runs >= 3, "every due tick counts as a run");
+        assert_eq!(agg.titles_recomputed_incremental, 2);
         // The operator's full batch recomputes everything and is counted
         // separately.
         assert_eq!(server.run_full_aggregation(), 1);
-        assert_eq!(server.stats_handle().snapshot().agg_full_runs, 1);
+        assert_eq!(server.db().aggregation_stats().full_runs, 1);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use softrep_core::db::ReputationDb;
+use softrep_proto::framing::MAX_FRAME_LEN;
 use softrep_proto::message::ReplEntry as WireEntry;
 use softrep_proto::{Request, Response};
 use softrep_storage::replication::{self, ReplEntry};
@@ -121,19 +122,30 @@ impl ReplServerState {
 /// Answer a `ReplSubscribe` request against `store`. Caps are clamped to
 /// the server-side maxima so a misbehaving subscriber cannot force an
 /// oversized frame, and floored at one entry so progress is always
-/// possible.
+/// possible. A single entry too large for one frame cannot be shipped at
+/// all: the subscriber is told to resync, and bootstraps from a snapshot
+/// taken past it.
 pub fn serve_subscribe(store: &Store, from_seq: u64, max_entries: u32, max_bytes: u32) -> Response {
     let entries = max_entries.clamp(1, MAX_PAGE_ENTRIES) as usize;
     let bytes = max_bytes.clamp(1, MAX_PAGE_BYTES) as usize;
     match store.replication_read(from_seq, entries, bytes) {
-        Ok(ReplRead::Entries { entries, committed_seq, backlog_bytes }) => Response::ReplEntries {
-            committed_seq,
-            backlog_bytes,
-            entries: entries
-                .into_iter()
-                .map(|e| WireEntry { seq: e.seq, batch: e.batch })
-                .collect(),
-        },
+        Ok(ReplRead::Entries { entries, committed_seq, backlog_bytes }) => {
+            // Only a lone first entry can exceed the byte cap.
+            let oversized = entries.first().is_some_and(|e| e.batch.len() > bytes);
+            let page = Response::ReplEntries {
+                committed_seq,
+                backlog_bytes,
+                entries: entries
+                    .into_iter()
+                    .map(|e| WireEntry { seq: e.seq, batch: e.batch })
+                    .collect(),
+            };
+            if oversized && page.encode().len() > MAX_FRAME_LEN as usize {
+                Response::ReplResync { committed_seq }
+            } else {
+                page
+            }
+        }
         Ok(ReplRead::SnapshotNeeded { committed_seq }) => Response::ReplResync { committed_seq },
         Err(e) => Response::error("repl-unavailable", e.to_string()),
     }

@@ -26,12 +26,6 @@ pub struct StatsSnapshot {
     pub requests_served: u64,
     /// Connections that have finished (cleanly or otherwise).
     pub closed: u64,
-    /// Incremental aggregation batches run by `tick()`.
-    pub agg_incremental_runs: u64,
-    /// Full (paper-faithful) aggregation batches run on demand.
-    pub agg_full_runs: u64,
-    /// Software titles recomputed across both batch kinds.
-    pub agg_titles_recomputed: u64,
 }
 
 /// Shared transport counters. All updates take one short critical
@@ -78,20 +72,6 @@ impl ServerStats {
     pub fn record_request_served(&self) {
         let mut s = self.inner.lock();
         s.requests_served = s.requests_served.saturating_add(1);
-    }
-
-    /// An incremental aggregation batch recomputed `titles` ratings.
-    pub fn record_aggregation_incremental(&self, titles: u64) {
-        let mut s = self.inner.lock();
-        s.agg_incremental_runs = s.agg_incremental_runs.saturating_add(1);
-        s.agg_titles_recomputed = s.agg_titles_recomputed.saturating_add(titles);
-    }
-
-    /// A full aggregation batch recomputed `titles` ratings.
-    pub fn record_aggregation_full(&self, titles: u64) {
-        let mut s = self.inner.lock();
-        s.agg_full_runs = s.agg_full_runs.saturating_add(1);
-        s.agg_titles_recomputed = s.agg_titles_recomputed.saturating_add(titles);
     }
 
     /// Consistent copy of every counter.
@@ -141,17 +121,5 @@ mod tests {
         }
         let s = stats.snapshot();
         assert_eq!(s.active, s.accepted - s.closed);
-    }
-
-    #[test]
-    fn aggregation_counters_accumulate_across_batch_kinds() {
-        let stats = ServerStats::new();
-        stats.record_aggregation_incremental(3);
-        stats.record_aggregation_incremental(0);
-        stats.record_aggregation_full(10);
-        let s = stats.snapshot();
-        assert_eq!(s.agg_incremental_runs, 2);
-        assert_eq!(s.agg_full_runs, 1);
-        assert_eq!(s.agg_titles_recomputed, 13);
     }
 }

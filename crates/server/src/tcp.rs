@@ -294,8 +294,8 @@ impl TcpServer {
         let _ = request_spans();
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(WorkerPool::new(config.max_connections));
-        // Share the handler's counter sink: one snapshot covers transport
-        // events and the aggregation batches the handler runs.
+        // Share the handler's counter sink, so `/metrics` renders the
+        // transport events this front end records.
         let stats = server.stats_handle();
         let registry = Arc::new(ConnRegistry::default());
 

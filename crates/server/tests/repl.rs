@@ -16,11 +16,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use softrep_core::clock::SimClock;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use softrep_core::clock::{SimClock, Timestamp};
 use softrep_core::db::ReputationDb;
 use softrep_crypto::salted::SecretPepper;
 use softrep_server::repl::{ReplicaTail, ReplicaTailConfig};
-use softrep_server::tcp::TcpServer;
+use softrep_server::tcp::{FrontendServer, TcpServer};
 use softrep_server::{ReputationServer, ServerConfig};
 use softrep_storage::batch::WriteBatch;
 use softrep_storage::replication;
@@ -301,6 +304,49 @@ fn interrupted_bootstrap_is_redone_not_trusted() {
     });
     assert!(!replication::bootstrap_pending(&replica_store));
     assert!(replica_store.get("titles", b"torn-half").is_none(), "torn state replaced");
+
+    tail.shutdown();
+    tcp.shutdown();
+}
+
+/// A WAL entry too large for one frame must not stall the replica. An
+/// aggregation batch that drains 6 000 dirty titles writes the whole dirty
+/// set as one entry, whose hex inside XML exceeds the 1 MiB frame limit.
+/// The primary answers `ReplResync` for it, so the replica bootstraps from
+/// a snapshot taken past that entry and catches up.
+#[test]
+fn replica_catches_up_past_an_entry_too_large_for_one_frame() {
+    let dir_p = tmpdir("huge-p");
+    let dir_r = tmpdir("huge-r");
+
+    let primary = file_backed_server(&dir_p);
+    let db = primary.db();
+    let mut rng = StdRng::seed_from_u64(7);
+    let token = db.register_user("voter", "pw", "voter@x.example", Timestamp(0), &mut rng).unwrap();
+    db.activate_user("voter", &token).unwrap();
+    for i in 0..6_000u64 {
+        let id = format!("{i:040x}");
+        db.register_software(&id, "app.exe", 512, None, None, Timestamp(1)).unwrap();
+        db.submit_vote("voter", &id, 5, vec![], Timestamp(2)).unwrap();
+    }
+    db.force_aggregation_full(Timestamp(3)).unwrap();
+    let primary_store = Arc::clone(db.store());
+    let tcp = FrontendServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+
+    let replica = file_backed_server(&dir_r);
+    let replica_store = Arc::clone(replica.db().store());
+    let tail =
+        ReplicaTail::spawn_with(Arc::clone(&replica), tcp.local_addr().to_string(), fast_tail())
+            .unwrap();
+
+    wait_for("replica caught up past the oversized entry", Duration::from_secs(30), || {
+        replication::applied_watermark(&replica_store) == primary_store.committed_seq()
+    });
+    assert_eq!(
+        replica_store.content_dump(),
+        primary_store.content_dump(),
+        "replica store must be byte-identical to the primary once caught up"
+    );
 
     tail.shutdown();
     tcp.shutdown();

@@ -256,6 +256,26 @@ mod tests {
     }
 
     #[test]
+    fn pages_end_before_an_entry_that_would_pass_the_byte_cap() {
+        let primary = Store::open(tmpdir("bytecap")).unwrap();
+        put(&primary, "t", "a", "small");
+        put(&primary, "t", "b", &"x".repeat(4096));
+        put(&primary, "t", "c", "small");
+        let page = |from| match primary.replication_read(from, 64, 1024).unwrap() {
+            ReplRead::Entries { entries, .. } => entries,
+            ReplRead::SnapshotNeeded { .. } => panic!("expected entries"),
+        };
+        // The big entry would pass the cap, so the first page stops short
+        // of it; on the next page it is first, and travels alone.
+        let first = page(0);
+        assert_eq!(first.iter().map(|e| e.seq).collect::<Vec<_>>(), [1]);
+        let second = page(1);
+        assert_eq!(second.iter().map(|e| e.seq).collect::<Vec<_>>(), [2]);
+        assert!(second[0].batch.len() > 1024);
+        assert_eq!(page(2).iter().map(|e| e.seq).collect::<Vec<_>>(), [3]);
+    }
+
+    #[test]
     fn compaction_forces_snapshot_bootstrap() {
         let primary = Store::open(tmpdir("snap-p")).unwrap();
         for i in 0..30 {

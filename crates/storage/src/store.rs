@@ -701,8 +701,9 @@ impl Store {
 
     /// Read committed WAL entries after `from_seq` for a replication
     /// subscriber. Returns [`ReplRead::Entries`] with a contiguous run
-    /// starting at `from_seq + 1` (bounded by `max_entries`/`max_bytes`,
-    /// with `backlog_bytes` counting what remains), or
+    /// starting at `from_seq + 1` (at most `max_entries` entries and
+    /// `max_bytes` batch bytes, except that a first entry larger than
+    /// `max_bytes` comes alone; `backlog_bytes` counts what remains), or
     /// [`ReplRead::SnapshotNeeded`] when compaction has already retired
     /// that suffix and the subscriber must bootstrap from a snapshot.
     ///
@@ -748,16 +749,21 @@ impl Store {
                     // frame appended after our committed cut was taken.
                     continue;
                 }
-                if entries.len() >= max_entries || taken_bytes >= max_bytes {
+                let batch = payload.get(8..).unwrap_or_default();
+                // End the page before an entry that would take it past
+                // `max_bytes`, unless the page is still empty: an entry
+                // larger than the cap travels alone.
+                if entries.len() >= max_entries
+                    || (!entries.is_empty() && taken_bytes + batch.len() > max_bytes)
+                {
                     full = true;
                 }
                 if full {
-                    backlog_bytes += payload.len().saturating_sub(8) as u64;
+                    backlog_bytes += batch.len() as u64;
                     continue;
                 }
-                let batch = payload.get(8..).unwrap_or_default().to_vec();
                 taken_bytes += batch.len();
-                entries.push(ReplEntry { seq, batch });
+                entries.push(ReplEntry { seq, batch: batch.to_vec() });
             }
         }
         match entries.first() {

@@ -17,7 +17,8 @@ use softwareputation::core::db::ReputationDb;
 use softwareputation::crypto::salted::SecretPepper;
 use softwareputation::storage::failpoint::{self, FailAction};
 use softwareputation::storage::{
-    durable_image_at, CrashStyle, DurabilityMode, Fault, SimVfs, Store, StoreOptions, WriteBatch,
+    durable_image_at, CrashStyle, DurabilityMode, Fault, SimVfs, Store, StoreOptions, VfsEvent,
+    WriteBatch,
 };
 
 #[path = "support/crash.rs"]
@@ -106,9 +107,28 @@ fn randomized_workload_recovers_at_every_durable_site() {
 /// never fork the ratings.
 #[test]
 fn recovered_accumulators_match_full_reaggregation_at_every_site() {
-    let sw = |tag: u8| -> String { format!("{tag:02x}").repeat(20) };
+    let (log, sites) = record_vote_workload(|_, _| {});
+    assert!(sites >= 10, "DB workload produced only {sites} durable sites");
+    assert_incremental_matches_full_at_every_site(&log, sites);
+}
 
-    // Record a vote-heavy DB workload over the simulator.
+/// The trust-change dirty rule across a crash (DESIGN.md §9): a trust
+/// change dirties every title the member voted on. The new trust record
+/// and those marks must recover together, or the incremental batch never
+/// recomputes the titles and disagrees with the full batch for good.
+#[test]
+fn trust_change_and_its_dirty_marks_recover_together_at_every_site() {
+    let (log, sites) = record_vote_workload(|db, t| {
+        db.adjust_trust("alice", 0.5, t).expect("adjust trust");
+    });
+    assert_incremental_matches_full_at_every_site(&log, sites);
+}
+
+/// Record a vote-heavy DB workload over the simulator: three members vote
+/// on three titles in four rounds, each followed by an incremental batch;
+/// then `finish` runs before the final sync. Returns the VFS event log and
+/// its durable-site count.
+fn record_vote_workload(finish: impl FnOnce(&ReputationDb, Timestamp)) -> (Vec<VfsEvent>, usize) {
     let vfs = SimVfs::new();
     let store = Store::open_with_vfs(
         "/sim/crash-db",
@@ -141,16 +161,19 @@ fn recovered_accumulators_match_full_reaggregation_at_every_site() {
         db.force_aggregation_incremental(Timestamp(t)).expect("aggregate");
         t += 1;
     }
+    finish(&db, Timestamp(t));
     db.store().sync().expect("final sync");
     drop(db);
+    (vfs.event_log(), vfs.durable_site_count())
+}
 
-    let log = vfs.event_log();
-    let sites = vfs.durable_site_count();
-    assert!(sites >= 10, "DB workload produced only {sites} durable sites");
-
+/// At every durable site of `log`, reopen the clean-power-cut image and
+/// check that an incremental catch-up publishes exactly the ratings a full
+/// reaggregation of the recovered votes does.
+fn assert_incremental_matches_full_at_every_site(log: &[VfsEvent], sites: usize) {
     let dir = TempDir::new("crash-db");
     for k in 0..=sites {
-        let image = durable_image_at(&log, k, CrashStyle::DurableOnly);
+        let image = durable_image_at(log, k, CrashStyle::DurableOnly);
         materialize(&image, dir.path());
         let db = ReputationDb::new(
             Arc::new(Store::open(dir.path()).unwrap_or_else(|e| panic!("site {k}: reopen: {e}"))),
@@ -179,6 +202,10 @@ fn recovered_accumulators_match_full_reaggregation_at_every_site() {
             "site {k}/{sites}: incremental accumulators diverge from full reaggregation"
         );
     }
+}
+
+fn sw(tag: u8) -> String {
+    format!("{tag:02x}").repeat(20)
 }
 
 /// ISSUE acceptance: an injected fsync failure surfaces as a typed storage
