@@ -2,7 +2,7 @@
 //! parallel clients — votes, queries, aggregations and registrations all
 //! racing. (The deployment model is thread-per-connection, §3.2.)
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use softwareputation::core::clock::SimClock;
 use softwareputation::core::db::ReputationDb;
@@ -116,10 +116,15 @@ fn aggregation_races_with_writes_without_corruption() {
         "seed",
     );
     let session = join(&server, "racer");
+    // Each tick moves the clock a day, past the writer's 24 h session, so
+    // the aggregator starts only once the writer's first ballot is in;
+    // otherwise the run can end with no ballot at all.
+    let first_ballot = Arc::new(Barrier::new(2));
 
     let writer = {
         let server = Arc::clone(&server);
         let id = id.clone();
+        let first_ballot = Arc::clone(&first_ballot);
         std::thread::spawn(move || {
             for round in 0..200u32 {
                 server.handle(
@@ -131,12 +136,16 @@ fn aggregation_races_with_writes_without_corruption() {
                     },
                     "racer",
                 );
+                if round == 0 {
+                    first_ballot.wait();
+                }
             }
         })
     };
     let aggregator = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
+            first_ballot.wait();
             for _ in 0..50 {
                 clock.advance_days(1);
                 server.tick();
