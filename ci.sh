@@ -35,8 +35,8 @@
 #                                   for 2 s, end to end and traced; each
 #                                   run must answer correctly — like
 #                                   step 8, it checks that the benchmark
-#                                   works and measures nothing. The
-#                                   measured ledger is perf-ledger.sh's
+#                                   works and measures nothing
+#                                   (./perf-ledger.sh measures)
 #  10. /metrics endpoint smoke      boots the release serverd on
 #                                   ephemeral ports and asserts the
 #                                   Prometheus exposition is well formed
