@@ -2,7 +2,8 @@
 # The full verification gauntlet, in increasing order of cost:
 #
 #   1. cargo fmt --check            formatting
-#   2. cargo clippy -D warnings     compiler-adjacent lints, all targets
+#   2. cargo clippy -D warnings     compiler-adjacent lints, every
+#                                   workspace crate, all targets
 #   3. softrep-lint                 the workspace's own invariant pass
 #                                   (no-panic request path, clock
 #                                   discipline, trust bounds, Request
@@ -16,39 +17,44 @@
 #                                   accepting a finding, regenerate with
 #                                   SOFTREP_LINT_BASELINE=regen.
 #   4. cargo build --release        tier-1 build
-#   5. cargo test                   the whole workspace
-#   6. loom shards                  race detection on the server's
+#   5. cargo test                   the whole workspace; on Linux the
+#                                   transport and chaos suites run every
+#                                   test on both servers (threads and the
+#                                   epoll reactor)
+#   6. property shard               the property suite at a fixed seed,
+#                                   then at a randomized one (echoed)
+#   7. loom shards                  race detection on the server's
 #                                   concurrent structures and the storage
 #                                   engine's group-commit/striping protocols
-#   7. crash-matrix shard           the deterministic fault-injection
+#   8. crash-matrix shard           the deterministic fault-injection
 #                                   harness (DESIGN.md §13): enumerate
 #                                   every durable-effect site of the
 #                                   canonical workload and re-recover at
 #                                   each one, fixed seed first, then one
 #                                   randomized-seed exploration (the seed
 #                                   is echoed so failures replay exactly)
-#   8. concurrency bench smoke      the store_concurrent/group-commit
+#   9. concurrency bench smoke      the store_concurrent/group-commit
 #                                   benches at a tiny workload — a
 #                                   does-it-run check, not a measurement
-#   9. perfbench smoke              builds the repository's benchmark
+#  10. perfbench smoke              builds the repository's benchmark
 #                                   (perfbench/) and runs every workload
 #                                   for 2 s, end to end and traced; each
 #                                   run must answer correctly — like
-#                                   step 8, it checks that the benchmark
+#                                   step 9, it checks that the benchmark
 #                                   works and measures nothing
 #                                   (./perf-ledger.sh measures)
-#  10. /metrics endpoint smoke      boots the release serverd on
+#  11. /metrics endpoint smoke      boots the release serverd on
 #                                   ephemeral ports and asserts the
 #                                   Prometheus exposition is well formed
 #                                   and carries the key series
-#  11. replication shard           the WAL-shipping differential suite
+#  12. replication shard           the WAL-shipping differential suite
 #                                   (fault proxy + replica restart →
 #                                   byte-identical stores), a randomized
 #                                   run of the gapless-prefix property,
 #                                   and a binary-level primary+2-replica
 #                                   topology probed over real sockets
 #                                   (not-primary redirects, repl metrics)
-#  12. ThreadSanitizer shard        opt-in: CI_TSAN=1 and a nightly
+#  13. ThreadSanitizer shard        opt-in: CI_TSAN=1 and a nightly
 #                                   toolchain; skipped otherwise
 #
 # Usage: ./ci.sh            (from the workspace root)
@@ -59,33 +65,25 @@ cd "$(dirname "$0")"
 
 step() { printf '\n==== %s ====\n' "$*"; }
 
-step "1/14 cargo fmt --check"
+step "1/13 cargo fmt --check"
 cargo fmt --all -- --check
 
-step "2/14 cargo clippy --all-targets -- -D warnings"
-cargo clippy --offline --all-targets -- -D warnings
+step "2/13 cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
-step "3/14 softrep-lint (baseline diff)"
+step "3/13 softrep-lint (baseline diff)"
 # Fails on diagnostics not present in lint-baseline.json. To accept a
 # finding on purpose (rare; prefer an inline reasoned suppression):
 #   SOFTREP_LINT_BASELINE=regen cargo run -q -p softrep-lint -- . --baseline lint-baseline.json
 cargo run --offline -q -p softrep-lint -- . --format json --baseline lint-baseline.json --stats
 
-step "4/14 cargo build --release"
+step "4/13 cargo build --release"
 cargo build --offline --release
 
-step "5/14 cargo test (workspace)"
+step "5/13 cargo test (workspace)"
 cargo test --offline -q --workspace
 
-step "6/14 epoll front-end shard (transport + chaos under the reactor)"
-# The workspace run already exercises both front ends; this shard pins
-# the socket-level suites to the epoll reactor alone so a regression in
-# the event loop cannot hide behind a thread-pool pass (the differential
-# sweep inside chaos.rs still compares both).
-SOFTREP_FRONTEND=epoll cargo test --offline -q -p softrep-server \
-    --test transport --test chaos
-
-step "7/14 property shard (fixed + randomized seed)"
+step "6/13 property shard (fixed + randomized seed)"
 # Fixed seed: reproduces the checked-in baseline exactly.
 SOFTREP_PROP_SEED=0x5eedcafe SOFTREP_PROP_CASES=200 \
     cargo test --offline -q --test properties
@@ -96,11 +94,11 @@ printf 'property shard randomized seed: %s\n' "$PROP_SEED"
 SOFTREP_PROP_SEED="$PROP_SEED" SOFTREP_PROP_CASES=100 \
     cargo test --offline -q --test properties
 
-step "8/14 loom race-detection shards (server + storage)"
+step "7/13 loom race-detection shards (server + storage)"
 cargo test --offline -q -p softrep-server --features loom --test loom
 cargo test --offline -q -p softrep-storage --features loom --test loom
 
-step "9/14 crash-matrix shard (fixed + randomized seed)"
+step "8/13 crash-matrix shard (fixed + randomized seed)"
 # Fixed seed: the canonical schedule, byte-for-byte reproducible. Time-
 # budgeted: the whole matrix is sub-second, so a multi-minute run means a
 # recovery loop is wedged — fail fast rather than eat the CI budget.
@@ -114,14 +112,14 @@ printf 'crash-matrix randomized seed: %s\n' "$CRASH_SEED"
 timeout 300 env SOFTREP_CRASH_SEED="$CRASH_SEED" \
     cargo test --offline -q --test crash_matrix randomized
 
-step "10/14 concurrency bench smoke"
+step "9/13 concurrency bench smoke"
 # Tiny workload: proves the mixed reader/writer and group-commit benches
 # still run, without spending CI minutes on real measurements.
 SOFTREP_BENCH_SMOKE=1 cargo bench --offline -p softrep-bench --bench storage_bench \
     | grep -E 'store_concurrent|store_group_commit' || {
         echo "concurrency benches produced no output"; exit 1; }
 
-step "11/14 perfbench smoke (every workload, end to end and traced)"
+step "10/13 perfbench smoke (every workload, end to end and traced)"
 # perfbench compiles against the crates' public items (DESIGN.md §16), so
 # a changed signature breaks every workload; this step catches it. Each
 # 2 s run must end with a correct result line. Measurements come from
@@ -138,14 +136,14 @@ for workload in $(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json
     done
 done
 
-step "12/14 /metrics endpoint smoke"
+step "11/13 /metrics endpoint smoke"
 # Boot the real binary on ephemeral ports, fetch /metrics over a raw
 # socket (no curl dependency), and assert the exposition is well formed
 # and carries the key series (DESIGN.md §12). Uses the release binary
 # from step 4.
 SMOKE_DATA="$(mktemp -d)"
 ./target/release/softrep-serverd --data "$SMOKE_DATA" --pepper ci-smoke \
-    --puzzle-difficulty 0 --frontend epoll --proto 127.0.0.1:0 --web 127.0.0.1:0 \
+    --puzzle-difficulty 0 --proto 127.0.0.1:0 --web 127.0.0.1:0 \
     >"$SMOKE_DATA/serverd.log" 2>&1 &
 SMOKE_PID=$!
 cleanup_smoke() { kill "$SMOKE_PID" 2>/dev/null || true; rm -rf "$SMOKE_DATA"; }
@@ -196,11 +194,11 @@ cleanup_smoke
 trap - EXIT
 echo "/metrics smoke passed ($WEB_ADDR)"
 
-step "13/14 replication shard (fault sweep + primary/2-replica topology)"
+step "12/13 replication shard (fault sweep + primary/2-replica topology)"
 # Half one: the in-process differential suite — 10k mixed writes through
 # a byte-cutting fault proxy plus a replica restart must converge to
 # byte-identical stores (DESIGN.md §15) — and a randomized-seed run of
-# the gapless-prefix property (the fixed-seed run is in step 7).
+# the gapless-prefix property (the fixed-seed run is in step 6).
 cargo test --offline -q -p softrep-server --test repl
 REPL_SEED="$(date +%s)"
 printf 'replication property randomized seed: %s\n' "$REPL_SEED"
@@ -298,7 +296,7 @@ nightly_has_tsan_deps() {
 
 if [ "${CI_TSAN:-0}" = "1" ]; then
     if nightly_has_tsan_deps; then
-        step "14/14 ThreadSanitizer shard (nightly)"
+        step "13/13 ThreadSanitizer shard (nightly)"
         # TSan needs the std rebuilt with the sanitizer; restrict to the
         # concurrent server structures to keep the shard's runtime sane.
         RUSTFLAGS="-Zsanitizer=thread" \
@@ -306,10 +304,10 @@ if [ "${CI_TSAN:-0}" = "1" ]; then
             -Z build-std --target x86_64-unknown-linux-gnu \
             session flood puzzle_gate pool stats
     else
-        step "14/14 ThreadSanitizer shard SKIPPED (needs nightly + rust-src for -Z build-std)"
+        step "13/13 ThreadSanitizer shard SKIPPED (needs nightly + rust-src for -Z build-std)"
     fi
 else
-    step "14/14 ThreadSanitizer shard SKIPPED (set CI_TSAN=1 to enable)"
+    step "13/13 ThreadSanitizer shard SKIPPED (set CI_TSAN=1 to enable)"
 fi
 
 printf '\nci.sh: all enabled shards passed\n'

@@ -21,7 +21,9 @@ use softrep_core::clock::{SimClock, Timestamp};
 use softrep_core::db::ReputationDb;
 use softrep_proto::{Request, Response};
 use softrep_server::flood::FloodGuard;
-use softrep_server::tcp::{Frontend, FrontendServer, TcpClient, TcpServer, TcpServerConfig};
+#[cfg(target_os = "linux")]
+use softrep_server::reactor::ReactorServer;
+use softrep_server::tcp::{FrontendServer, TcpClient, TcpServer, TcpServerConfig};
 use softrep_server::{ReputationServer, ServerConfig};
 
 /// Counts every heap allocation in the process so the sweep can report
@@ -234,13 +236,25 @@ fn bench_flood_guard(c: &mut Criterion) {
     group.finish();
 }
 
-/// The front ends this build can run: the thread pool everywhere, the
-/// epoll reactor on Linux.
-fn available_frontends() -> Vec<Frontend> {
-    let mut frontends = vec![Frontend::Threads];
-    #[cfg(target_os = "linux")]
-    frontends.push(Frontend::Epoll);
-    frontends
+/// Starts a server on `server` with `config`, on an ephemeral port.
+type Spawn = fn(Arc<ReputationServer>, TcpServerConfig) -> FrontendServer;
+
+/// The front ends this build can run, by name: the thread pool
+/// everywhere, the epoll reactor on Linux.
+fn available_frontends() -> Vec<(&'static str, Spawn)> {
+    vec![
+        ("threads", |server, config| {
+            FrontendServer::Threads(
+                TcpServer::spawn_with(server, "127.0.0.1:0", config).expect("bind loopback"),
+            )
+        }),
+        #[cfg(target_os = "linux")]
+        ("epoll", |server, config| {
+            FrontendServer::Epoll(
+                ReactorServer::spawn_with(server, "127.0.0.1:0", config).expect("bind loopback"),
+            )
+        }),
+    ]
 }
 
 fn connect_idle(addr: std::net::SocketAddr) -> TcpStream {
@@ -267,22 +281,19 @@ fn bench_frontend_concurrency_sweep(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("frontend_concurrency");
     group.sample_size(10);
-    for frontend in available_frontends() {
+    for (frontend, spawn) in available_frontends() {
         for &conns in conn_counts {
             let db = seeded_db(50, 100, 1_000, 3);
             db.force_aggregation(Timestamp(2)).unwrap();
-            let fe = FrontendServer::spawn_with(
+            let fe = spawn(
                 Arc::new(server_over(db)),
-                "127.0.0.1:0",
                 TcpServerConfig {
-                    frontend,
                     max_open_connections: 4096,
                     read_timeout: Duration::from_secs(300), // idle peers stay pinned
                     drain_deadline: Duration::from_millis(200),
                     ..TcpServerConfig::default()
                 },
-            )
-            .expect("bind loopback");
+            );
             let addr = fe.local_addr();
             let query = Request::QuerySoftware { software_id: sw_id(7) };
 
@@ -313,7 +324,7 @@ fn bench_frontend_concurrency_sweep(c: &mut Criterion) {
             }
             if shed {
                 eprintln!(
-                    "frontend_concurrency/{frontend:?}/{conns}: active clients shed \
+                    "frontend_concurrency/{frontend}/{conns}: active clients shed \
                      (front end saturated; admitted {} of {conns}) — no throughput to measure",
                     fe.stats().accepted
                 );
@@ -324,17 +335,13 @@ fn bench_frontend_concurrency_sweep(c: &mut Criterion) {
             }
 
             group.throughput(Throughput::Elements(active_n as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("{frontend:?}").to_lowercase(), conns),
-                &conns,
-                |b, _| {
-                    b.iter(|| {
-                        for client in &mut active {
-                            client.call(black_box(&query)).expect("call");
-                        }
-                    })
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(frontend, conns), &conns, |b, _| {
+                b.iter(|| {
+                    for client in &mut active {
+                        client.call(black_box(&query)).expect("call");
+                    }
+                })
+            });
             drop(active);
             drop(idle);
             fe.shutdown();
@@ -353,15 +360,10 @@ fn bench_frontend_concurrency_sweep(c: &mut Criterion) {
 fn alloc_probe(_c: &mut Criterion) {
     const WARMUP: usize = 256;
     const MEASURED: u64 = 1024;
-    for frontend in available_frontends() {
+    for (frontend, spawn) in available_frontends() {
         let db = seeded_db(50, 100, 1_000, 3);
         db.force_aggregation(Timestamp(2)).unwrap();
-        let fe = FrontendServer::spawn_with(
-            Arc::new(server_over(db)),
-            "127.0.0.1:0",
-            TcpServerConfig { frontend, ..TcpServerConfig::default() },
-        )
-        .expect("bind loopback");
+        let fe = spawn(Arc::new(server_over(db)), TcpServerConfig::default());
         let query = Request::QuerySoftware { software_id: sw_id(7) };
         let mut client = TcpClient::connect(fe.local_addr()).expect("connect");
         for _ in 0..WARMUP {
@@ -373,7 +375,7 @@ fn alloc_probe(_c: &mut Criterion) {
         }
         let per_request = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / MEASURED as f64;
         eprintln!(
-            "alloc_probe/{frontend:?}: {per_request:.1} allocations per request \
+            "alloc_probe/{frontend}: {per_request:.1} allocations per request \
              (process-wide, client included; {MEASURED} warm keep-alive requests)"
         );
         drop(client);

@@ -78,8 +78,10 @@ fn bench_scans(c: &mut Criterion) {
 /// exactly the contention profile the store had before the sharded read
 /// path, when every reader queued behind writer I/O.
 struct MutexBaseline {
-    inner: Mutex<(BTreeMap<Vec<u8>, Vec<u8>>, Wal)>,
+    inner: Mutex<(Tree, Wal)>,
 }
+
+type Tree = BTreeMap<Vec<u8>, Vec<u8>>;
 
 impl MutexBaseline {
     fn open(dir: &std::path::Path) -> Self {

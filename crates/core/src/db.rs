@@ -38,7 +38,8 @@ use crate::error::{CoreError, CoreResult};
 use crate::extensions::{EvidenceRecord, FeedEntryRecord, FeedRecord};
 use crate::model::{
     AccumulatorRecord, CommentRecord, CommentStatus, RatingRecord, RemarkRecord, SoftwareRecord,
-    TrustRecord, UserRecord, VoteRecord, MAX_SCORE, MIN_SCORE,
+    TrustRecord, UserRecord, VoteRecord, MAX_BEHAVIOUR_LEN, MAX_SCORE, MAX_SOFTWARE_FIELD_LEN,
+    MIN_SCORE,
 };
 use crate::moderation::{apply_decision, ModerationDecision, ModerationPolicy, ModerationStats};
 use crate::trust::{deltas, TrustEngine};
@@ -445,6 +446,12 @@ impl ReputationDb {
         now: Timestamp,
     ) -> CoreResult<bool> {
         validate_software_id(software_id)?;
+        let fields = [Some(file_name), company.as_deref(), version.as_deref()];
+        if fields.into_iter().flatten().any(|f| f.len() > MAX_SOFTWARE_FIELD_LEN) {
+            return Err(CoreError::InvalidInput(format!(
+                "file name, company and version must each be at most {MAX_SOFTWARE_FIELD_LEN} bytes"
+            )));
+        }
         let _write = self.write_gate.lock();
         let key = software_id.to_string();
         if self.software.contains(&key) {
@@ -492,6 +499,7 @@ impl ReputationDb {
         if !(MIN_SCORE..=MAX_SCORE).contains(&score) {
             return Err(CoreError::InvalidScore(score));
         }
+        validate_behaviours(&behaviours)?;
         self.require_active_user(username)?;
         if !self.software.contains(&software_id.to_string()) {
             return Err(CoreError::UnknownSoftware(software_id.into()));
@@ -1113,6 +1121,7 @@ impl ReputationDb {
         let mut seeded = 0;
         for entry in entries {
             validate_software_id(&entry.software_id)?;
+            validate_behaviours(&entry.behaviours)?;
             let key = entry.software_id.clone();
             if !self.software.contains(&key) {
                 self.software.put(
@@ -1307,6 +1316,7 @@ impl ReputationDb {
         analyzer: &str,
         now: Timestamp,
     ) -> CoreResult<()> {
+        validate_behaviours(&behaviours)?;
         if !self.software.contains(&software_id.to_string()) {
             return Err(CoreError::UnknownSoftware(software_id.into()));
         }
@@ -1373,6 +1383,7 @@ impl ReputationDb {
         if !(1.0..=10.0).contains(&rating) {
             return Err(CoreError::InvalidInput(format!("feed rating {rating} outside 1..=10")));
         }
+        validate_behaviours(&behaviours)?;
         if !self.software.contains(&software_id.to_string()) {
             return Err(CoreError::UnknownSoftware(software_id.into()));
         }
@@ -1484,6 +1495,15 @@ fn validate_feed_name(name: &str) -> CoreResult<()> {
     let ok_chars = name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-');
     if !(3..=32).contains(&name.len()) || !ok_chars {
         return Err(CoreError::InvalidInput("feed name must be 3-32 chars of [a-z0-9-]".into()));
+    }
+    Ok(())
+}
+
+fn validate_behaviours(behaviours: &[String]) -> CoreResult<()> {
+    if behaviours.iter().any(|b| b.len() > MAX_BEHAVIOUR_LEN) {
+        return Err(CoreError::InvalidInput(format!(
+            "behaviour names must be at most {MAX_BEHAVIOUR_LEN} bytes"
+        )));
     }
     Ok(())
 }
@@ -1625,6 +1645,55 @@ mod tests {
             db.submit_vote("newbie", &sw_id(1), 5, vec![], Timestamp(1)),
             Err(CoreError::NotActivated(_))
         ));
+    }
+
+    #[test]
+    fn report_fields_are_bounded_where_they_enter_the_db() {
+        let db = db_with_member();
+        let long_field = "f".repeat(MAX_SOFTWARE_FIELD_LEN + 1);
+        for (file_name, company) in [(long_field.as_str(), None), ("app.exe", Some(&long_field))] {
+            assert!(matches!(
+                db.register_software(&sw_id(1), file_name, 1, company.cloned(), None, Timestamp(0)),
+                Err(CoreError::InvalidInput(_))
+            ));
+        }
+        let longest = "f".repeat(MAX_SOFTWARE_FIELD_LEN);
+        assert!(db.register_software(&sw_id(1), &longest, 1, None, None, Timestamp(0)).unwrap());
+        db.create_feed("feed-a", "alice", Timestamp(0)).unwrap();
+
+        let at_limit = vec!["b".repeat(MAX_BEHAVIOUR_LEN)];
+        let over = vec!["tracking".to_string(), "b".repeat(MAX_BEHAVIOUR_LEN + 1)];
+        let bootstrap = |behaviours: &Vec<String>| {
+            let entry = BootstrapEntry {
+                software_id: sw_id(2),
+                rating: 5.0,
+                vote_count: 1,
+                behaviours: behaviours.clone(),
+            };
+            db.bootstrap(&[entry], Timestamp(1))
+        };
+        for behaviours in [&over, &at_limit] {
+            let results = [
+                db.submit_vote("alice", &sw_id(1), 5, behaviours.clone(), Timestamp(1)),
+                db.record_evidence(&sw_id(1), behaviours.clone(), "sandbox", Timestamp(1)),
+                db.publish_feed_entry(
+                    "alice",
+                    "feed-a",
+                    &sw_id(1),
+                    5.0,
+                    behaviours.clone(),
+                    Timestamp(1),
+                ),
+                bootstrap(behaviours).map(|_| ()),
+            ];
+            for result in results {
+                if behaviours == &over {
+                    assert!(matches!(result, Err(CoreError::InvalidInput(_))), "{result:?}");
+                } else {
+                    result.unwrap();
+                }
+            }
+        }
     }
 
     #[test]

@@ -126,6 +126,16 @@ pub const MIN_SCORE: u8 = 1;
 /// See [`MIN_SCORE`].
 pub const MAX_SCORE: u8 = 10;
 
+/// Longest behaviour name, in bytes, that a vote, an evidence record, a
+/// feed entry or a bootstrap entry may carry. Names are short tags such as
+/// `popup_ads`; the bound keeps a software report inside one protocol
+/// frame (the server's report renderer holds the arithmetic).
+pub const MAX_BEHAVIOUR_LEN: usize = 64;
+
+/// Longest file name, company or version, in bytes, that a software record
+/// may carry: 255 is the usual file-system limit on one file name.
+pub const MAX_SOFTWARE_FIELD_LEN: usize = 255;
+
 /// One user's vote on one executable. Keyed by `(software_id, username)`,
 /// which structurally enforces one vote per user per software — re-voting
 /// overwrites (invariant 1).

@@ -430,7 +430,7 @@ impl Builder<'_> {
     }
 }
 
-fn nth_text<'a>(toks: &'a [Token], n: usize) -> &'a str {
+fn nth_text(toks: &[Token], n: usize) -> &str {
     toks.get(n).map(|t| t.text.as_str()).unwrap_or("")
 }
 
@@ -507,8 +507,7 @@ fn finalize(func: &mut Function) {
     // header as parent), so they are siblings already.
 
     // scope_end: last id of the enclosing scope's subtree.
-    for slot in 0..=n {
-        let members = &children[slot];
+    for members in &children {
         if members.is_empty() {
             continue;
         }
@@ -524,8 +523,7 @@ fn finalize(func: &mut Function) {
 
     // Successor edges.
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for slot in 0..=n {
-        let members = &children[slot];
+    for members in &children {
         for (k, &m) in members.iter().enumerate() {
             if let Some(&next) = members.get(k + 1) {
                 succ[m].push(next);

@@ -72,20 +72,17 @@ pub fn check(fc: &FileCheck, funcs: &[Function], out: &mut Vec<Diagnostic>) {
                 // channel methods; `Path::join(p)` and `recv_timeout(d)`
                 // relatives take arguments.
                 if matches!(t.text.as_str(), "join" | "recv")
-                    && !toks.get(k + 2).is_some_and(|n| n.text == ")")
+                    && toks.get(k + 2).is_none_or(|n| n.text != ")")
                 {
                     continue;
                 }
                 for g in &guards {
                     let (lo, hi_stmt) = g.live;
-                    let held = id >= lo
-                        && id <= hi_stmt
-                        && (id != g.stmt || k > g.token)
-                        // The guard acquisition itself chains into the
-                        // blocking call's receiver only when it is the
-                        // same expression; same-statement cases require
-                        // the lock to come first.
-                        && !(id == g.stmt && k < g.token);
+                    // The guard acquisition itself chains into the
+                    // blocking call's receiver only when it is the same
+                    // expression; same-statement cases require the lock to
+                    // come first.
+                    let held = (lo..=hi_stmt).contains(&id) && (id != g.stmt || k > g.token);
                     if held {
                         fc.push(
                             out,

@@ -167,8 +167,8 @@ fn check_function(
     }
 
     // Sink scan with the final in-states.
-    for id in 0..n {
-        let state = states[id].clone().unwrap_or_default();
+    for (id, state) in states.iter().enumerate() {
+        let state = state.clone().unwrap_or_default();
         scan_sinks(fc, func, id, &state, in_server, findings);
     }
     let _ = toks;

@@ -21,6 +21,28 @@ use crate::repl::ReplServerState;
 use crate::session::SessionManager;
 use crate::stats::ServerStats;
 
+/// Most behaviours, and most verified behaviours, one software report
+/// lists, the most reported first; comments are capped by
+/// [`ServerConfig::max_comments_in_report`].
+///
+/// With this cap and the db's field bounds, a report's response body is at
+/// most (every field at its bound, every byte escaped to a 6-byte entity
+/// such as `&apos;`):
+///
+/// ```text
+/// declaration, envelope, id, vote count, rating    < 300
+/// file name, company, version   3 × 255 × 6 + 61   = 4,651
+/// behaviours                    32 × (64 × 6 + 23) = 13,024
+/// verified behaviours           32 × (64 × 6 + 41) = 13,600
+/// each comment   4,096 × 6 text + 32 author + 2 × 20 digits + 46 tags = 24,694
+/// ```
+///
+/// That is 31,575 + 24,694 × comments bytes: 278,515 at the default 10
+/// comments, and within `MAX_FRAME_LEN` (1,048,576) up to 41. A larger
+/// comment cap can make a report too large for one frame; the server then
+/// answers `response-too-large` instead.
+pub const MAX_REPORT_BEHAVIOURS: usize = 32;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -503,12 +525,15 @@ impl ReputationServer {
             Some(r) => (
                 Some(r.rating),
                 r.vote_count,
-                r.behaviours.iter().map(|(b, _)| b.clone()).collect(),
+                // The tally is sorted most reported first.
+                r.behaviours.iter().take(MAX_REPORT_BEHAVIOURS).map(|(b, _)| b.clone()).collect(),
             ),
             None => (None, 0, Vec::new()),
         };
-        let verified_behaviours =
-            report.evidence.as_ref().map(|e| e.behaviours.clone()).unwrap_or_default();
+        let verified_behaviours = report
+            .evidence
+            .map(|e| e.behaviours.into_iter().take(MAX_REPORT_BEHAVIOURS).collect())
+            .unwrap_or_default();
         SoftwareInfo {
             software_id: report.software.software_id,
             file_name: (!report.software.file_name.is_empty())
@@ -986,5 +1011,48 @@ mod tests {
             resp,
             Response::Vendor { vendor: "Acme".into(), rating: Some(6.0), software_count: 1 }
         );
+    }
+
+    /// The worst case [`MAX_REPORT_BEHAVIOURS`] documents: every field at
+    /// its bound and every byte escaped to a 6-byte entity. The report
+    /// lists the most reported behaviours first, up to the cap, and its
+    /// answer stays within the documented size.
+    #[test]
+    fn a_worst_case_report_fits_the_documented_bound() {
+        let (server, _) = server_with(ServerConfig {
+            puzzle_difficulty: 0,
+            flood_capacity: u32::MAX,
+            flood_refill_per_hour: u32::MAX,
+            ..ServerConfig::default()
+        });
+        let field = "'".repeat(softrep_core::model::MAX_SOFTWARE_FIELD_LEN);
+        let db = server.db();
+        let t0 = Timestamp(0);
+        db.register_software(&sw_id(1), &field, 1, Some(field.clone()), Some(field.clone()), t0)
+            .unwrap();
+        let names: Vec<String> = (0..MAX_REPORT_BEHAVIOURS + 8)
+            .map(|i| format!("{i:02}{}", "'".repeat(softrep_core::model::MAX_BEHAVIOUR_LEN - 2)))
+            .collect();
+        for member in ["alice", "bob", "carol"] {
+            let session = join(&server, member);
+            let behaviours = if member == "alice" { names.clone() } else { vec!["popular".into()] };
+            let vote = Request::SubmitVote { session, software_id: sw_id(1), score: 5, behaviours };
+            assert_eq!(server.handle(&vote, member), Response::Ok);
+        }
+        db.record_evidence(&sw_id(1), names.clone(), "sandbox", t0).unwrap();
+        let text = "'".repeat(4096);
+        for _ in 0..server.config().max_comments_in_report {
+            db.submit_comment("alice", &sw_id(1), &text, t0).unwrap();
+        }
+        db.force_aggregation(server.now()).unwrap();
+
+        let resp = server.handle(&Request::QuerySoftware { software_id: sw_id(1) }, "q");
+        let size = resp.encode().len();
+        let Response::Software(info) = resp else { panic!("{resp:?}") };
+        assert_eq!(info.behaviours.len(), MAX_REPORT_BEHAVIOURS);
+        assert_eq!(info.behaviours[0], "popular", "most reported first");
+        assert_eq!(info.verified_behaviours.len(), MAX_REPORT_BEHAVIOURS);
+        assert_eq!(info.comments.len(), 10);
+        assert!(size <= 278_515, "{size} bytes exceeds the documented bound");
     }
 }

@@ -22,9 +22,9 @@
 //!   timed-out / served) so load-shedding is measurable, not guessed.
 //! * [`tcp`] — the thread-per-connection TCP front end speaking the
 //!   framed XML protocol over a bounded worker pool, with connection
-//!   deadlines and graceful, handle-joining shutdown; also home of
-//!   [`tcp::Frontend`]/[`tcp::FrontendServer`], the switch between the
-//!   two serving architectures.
+//!   deadlines and graceful, handle-joining shutdown; also home of the
+//!   request path both servers share and of [`tcp::FrontendServer`],
+//!   which starts the reactor on Linux and threads elsewhere.
 //! * [`epoll`] (Linux) — a minimal typed wrapper over raw
 //!   `epoll`/`eventfd`/`fcntl` syscalls, declared by hand so the
 //!   workspace stays dependency-free.
@@ -60,4 +60,4 @@ pub use reactor::ReactorServer;
 pub use repl::{ReplicaTail, ReplicaTailConfig};
 pub use session::SessionManager;
 pub use stats::{ServerStats, StatsSnapshot};
-pub use tcp::{Frontend, FrontendServer, TcpClient, TcpServer, TcpServerConfig};
+pub use tcp::{FrontendServer, TcpClient, TcpServer, TcpServerConfig};

@@ -26,6 +26,9 @@
 //! * **Timer wheel** — a 1024-slot hashed wheel (50 ms ticks) replaces
 //!   per-socket `SO_RCVTIMEO`/`SO_SNDTIMEO`; reaping an idle peer is an
 //!   O(1) wheel entry, not a parked thread waking from a timeout.
+//! * **Request path** — workers run `tcp::answer_frame`, the same
+//!   decode → handle → encode → frame function the thread server calls,
+//!   so the two servers differ only in transport.
 //! * **Completion path** — workers push finished responses onto a queue
 //!   and nudge the loop through an [`crate::epoll::EventFd`]; the loop
 //!   never blocks on anything but `epoll_wait`.
@@ -51,16 +54,14 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use softrep_obs::metrics::{Counter, Gauge, Histogram};
-use softrep_obs::span;
 use softrep_obs::time::Stopwatch;
-use softrep_proto::framing::{encode_frame_into, MAX_FRAME_LEN};
-use softrep_proto::{Request, Response};
+use softrep_proto::framing::MAX_FRAME_LEN;
 
 use crate::epoll::{self, Epoll, Event, EventFd};
 use crate::handler::ReputationServer;
 use crate::pool::DispatchPool;
 use crate::stats::{ServerStats, StatsSnapshot};
-use crate::tcp::{request_spans, TcpServerConfig};
+use crate::tcp::{answer_frame, overloaded_frame, prepare_handler, TcpServerConfig};
 
 /// Wheel granularity. Deadlines round up to the next tick, so an eviction
 /// lands within one tick after the configured timeout.
@@ -83,8 +84,8 @@ const NEVER: u64 = u64::MAX;
 /// A request handed to the dispatch pool.
 struct DispatchJob {
     token: u64,
-    /// The reassembled frame body (validated UTF-8 before dispatch);
-    /// recycled into the framed response buffer by the worker.
+    /// The reassembled frame body; recycled into the framed response
+    /// buffer by the worker.
     body: Vec<u8>,
     peer_tag: Arc<str>,
     started: Stopwatch,
@@ -94,7 +95,7 @@ struct DispatchJob {
 struct Completion {
     token: u64,
     /// Framed response bytes (header + body), ready to write. Empty means
-    /// the worker had nothing valid to send and the connection must close.
+    /// the request was not UTF-8 and the connection must close.
     buf: Vec<u8>,
     started: Stopwatch,
 }
@@ -312,7 +313,7 @@ impl ReactorServer {
         listener.set_nonblocking(true)?;
         // Register every series the reactor emits before traffic exists.
         let metrics = ReactorMetrics::register();
-        let _ = request_spans();
+        prepare_handler(&server, &config);
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let queue =
@@ -353,7 +354,6 @@ impl ReactorServer {
                     draining: false,
                     drain_end: NEVER,
                     listener_muted_until: 0,
-                    overloaded_frame: Vec::new(),
                 };
                 reactor.run();
                 // Loop done: stop accepting jobs, let queued handlers
@@ -410,34 +410,13 @@ impl Drop for ReactorServer {
     }
 }
 
-/// Decode, handle, and re-encode one request on a dispatch worker. The
-/// body buffer is recycled into the framed response, so the worker
-/// allocates nothing on the frame path (the `Response` encoding itself is
-/// protocol work, not framing).
+/// Answer one request on a dispatch worker. The body buffer is recycled
+/// into the framed response, so the worker allocates nothing on the frame
+/// path (the `Response` encoding itself is protocol work, not framing).
 fn run_dispatch_job(server: &ReputationServer, queue: &CompletionQueue, job: DispatchJob) {
     let DispatchJob { token, mut body, peer_tag, started } = job;
-    // Every request gets a process-unique id (slow-op attribution); the
-    // latency span itself is 1-in-N sampled — same policy as the thread
-    // front end.
-    let _scope = span::RequestScope::enter(span::next_request_id());
-    let timer = request_spans().maybe_start();
-    let response = match std::str::from_utf8(&body) {
-        Ok(text) => match Request::decode(text) {
-            Ok(request) => server.handle(&request, &peer_tag),
-            Err(e) => Response::error("bad-request", e.to_string()),
-        },
-        // The loop validated UTF-8 before dispatch; a mismatch here can
-        // only mean corruption, so send nothing and close.
-        Err(_) => {
-            body.clear();
-            queue.push(Completion { token, buf: body, started });
-            return;
-        }
-    };
-    let encoded = response.encode();
-    drop(timer);
-    if encode_frame_into(&encoded, &mut body).is_err() {
-        // Response larger than a frame allows: nothing valid to send.
+    if answer_frame(server, &mut body, &peer_tag).is_err() {
+        // Not UTF-8: send nothing and close, as the thread server does.
         body.clear();
     }
     queue.push(Completion { token, buf: body, started });
@@ -465,8 +444,6 @@ struct Reactor {
     /// accept failure (fd exhaustion), so level-triggered readiness does
     /// not spin the loop.
     listener_muted_until: u64,
-    /// Pre-encoded `overloaded` shed frame, built once.
-    overloaded_frame: Vec<u8>,
 }
 
 impl Reactor {
@@ -495,13 +472,6 @@ impl Reactor {
     }
 
     fn run(&mut self) {
-        let overloaded =
-            Response::error("overloaded", "server is at connection capacity; retry later").encode();
-        let mut frame = Vec::new();
-        if encode_frame_into(&overloaded, &mut frame).is_ok() {
-            self.overloaded_frame = frame;
-        }
-
         let mut events: Vec<Event> = Vec::new();
         let mut completions: Vec<Completion> = Vec::new();
         let mut expired: Vec<u64> = Vec::new();
@@ -622,7 +592,7 @@ impl Reactor {
             self.stats.record_rejected_overload();
             let _ = stream.set_nonblocking(true);
             let mut w = &stream;
-            let _ = w.write(&self.overloaded_frame);
+            let _ = w.write(overloaded_frame());
             return;
         }
         if stream.set_nonblocking(true).is_err() {
@@ -704,26 +674,15 @@ impl Reactor {
         let epoll = &self.epoll;
         let job = {
             let Some(conn) = self.conns.get_mut(&token) else { return };
+            conn.state = ConnState::Dispatched;
+            conn.deadline = NEVER;
+            // Zero interest while the request is in flight: pipelined
+            // frames wait in the kernel buffer (sequential per-connection
+            // semantics, same as the thread front end).
+            set_interest(epoll, conn, token, 0);
             let body = std::mem::take(&mut conn.body);
-            // Frame bodies must be UTF-8; the thread front end drops the
-            // connection on a NotUtf8 frame and the reactor matches it,
-            // pre-dispatch, so workers only ever see valid text.
-            if std::str::from_utf8(&body).is_err() {
-                None
-            } else {
-                conn.state = ConnState::Dispatched;
-                conn.deadline = NEVER;
-                // Zero interest while the request is in flight: pipelined
-                // frames wait in the kernel buffer (sequential
-                // per-connection semantics, same as the thread front end).
-                set_interest(epoll, conn, token, 0);
-                let started = Stopwatch::start();
-                Some(DispatchJob { token, body, peer_tag: Arc::clone(&conn.peer_tag), started })
-            }
-        };
-        let Some(job) = job else {
-            self.close_conn(token);
-            return;
+            let started = Stopwatch::start();
+            DispatchJob { token, body, peer_tag: Arc::clone(&conn.peer_tag), started }
         };
         let submitted = self.pool.as_ref().is_some_and(|pool| pool.submit(job));
         if !submitted {
@@ -740,7 +699,7 @@ impl Reactor {
             return; // evicted or force-closed while the handler ran
         };
         if buf.is_empty() {
-            // The worker had nothing valid to send: drop the connection.
+            // The request was not UTF-8: drop the connection.
             self.close_conn(token);
             return;
         }
@@ -910,6 +869,7 @@ mod tests {
     use super::*;
     use softrep_core::clock::SimClock;
     use softrep_core::db::ReputationDb;
+    use softrep_proto::{Request, Response};
 
     use crate::handler::ServerConfig;
     use crate::tcp::TcpClient;

@@ -457,7 +457,7 @@ mod tests {
     use softrep_crypto::salted::SecretPepper;
 
     use crate::handler::ServerConfig;
-    use crate::tcp::TcpServer;
+    use crate::tcp::FrontendServer;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -573,7 +573,7 @@ mod tests {
     fn tail_streams_writes_and_reports_zero_lag() {
         let primary = file_backed_server(&tmpdir("tail-e2e-p"));
         let primary_store = Arc::clone(primary.db().store());
-        let tcp = TcpServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+        let tcp = FrontendServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
         let primary_addr = tcp.local_addr().to_string();
 
         let replica = file_backed_server(&tmpdir("tail-e2e-r"));
@@ -616,7 +616,7 @@ mod tests {
         }
         // Retire the whole log: a fresh subscriber must bootstrap.
         primary_store.compact().unwrap();
-        let tcp = TcpServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+        let tcp = FrontendServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
 
         let replica = file_backed_server(&tmpdir("tail-snap-r"));
         let replica_store = Arc::clone(replica.db().store());
@@ -646,7 +646,7 @@ mod tests {
         let dir_p = tmpdir("restart-p");
         let primary = file_backed_server(&dir_p);
         let primary_store = Arc::clone(primary.db().store());
-        let tcp = TcpServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+        let tcp = FrontendServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
         let addr = tcp.local_addr();
 
         let replica = file_backed_server(&tmpdir("restart-r"));
@@ -678,7 +678,7 @@ mod tests {
             ))
         };
         let primary_store = Arc::clone(primary.db().store());
-        let tcp2 = TcpServer::spawn(Arc::clone(&primary), addr).unwrap();
+        let tcp2 = FrontendServer::spawn(Arc::clone(&primary), addr).unwrap();
         primary_store.put("t", b"after".to_vec(), b"2".to_vec()).unwrap();
 
         assert!(

@@ -1,10 +1,12 @@
 //! TCP front end: framed XML over `std::net`, served by a bounded worker
-//! pool.
+//! pool, plus what both servers share.
 //!
-//! Used by the networked examples and the deployment binary; the agent
-//! simulations call [`crate::handler::ReputationServer::handle`]
-//! in-process for speed. Robustness properties (§2.1's availability
-//! requirement):
+//! [`TcpServer`] is the server on platforms without epoll and the
+//! reference the reactor ([`FrontendServer::Epoll`]) is tested against;
+//! [`FrontendServer::spawn`] picks the platform's server. Both answer each
+//! frame through one request path, `answer_frame`. The agent simulations
+//! call [`crate::handler::ReputationServer::handle`] in-process for speed.
+//! Robustness properties (§2.1's availability requirement):
 //!
 //! * **Bounded concurrency** — at most
 //!   [`TcpServerConfig::max_connections`] workers; excess connections get
@@ -29,73 +31,29 @@
 //! and experiments can assert throttling instead of guessing.
 
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use softrep_obs::span::{self, SpanFamily};
-use softrep_proto::framing::{read_frame_into, write_frame_with, FrameError};
+use softrep_proto::framing::{
+    encode_frame_into, read_frame_into, write_frame_with, FrameError, MAX_FRAME_LEN,
+};
 use softrep_proto::{Request, Response};
 
 use crate::handler::ReputationServer;
 use crate::pool::WorkerPool;
 use crate::stats::{ServerStats, StatsSnapshot};
 
-/// Which serving architecture a [`FrontendServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Frontend {
-    /// Thread-per-connection over a bounded worker pool: portable, simple,
-    /// capacity-bounded by [`TcpServerConfig::max_connections`] threads.
-    Threads,
-    /// Single epoll event loop plus a bounded dispatch pool: Linux only,
-    /// capacity-bounded by [`TcpServerConfig::max_open_connections`]
-    /// connection *states* instead of threads.
-    #[cfg(target_os = "linux")]
-    Epoll,
-}
-
-impl Default for Frontend {
-    /// The reactor where it exists, threads elsewhere.
-    fn default() -> Self {
-        #[cfg(target_os = "linux")]
-        {
-            Frontend::Epoll
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Frontend::Threads
-        }
-    }
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(Frontend::Threads),
-            #[cfg(target_os = "linux")]
-            "epoll" => Ok(Frontend::Epoll),
-            #[cfg(not(target_os = "linux"))]
-            "epoll" => Err("the epoll front end is only available on Linux".to_string()),
-            other => Err(format!("unknown frontend '{other}' (expected 'threads' or 'epoll')")),
-        }
-    }
-}
-
-/// Tuning knobs for the TCP front end (both architectures; each knob says
-/// which front end reads it).
+/// Tuning knobs for the TCP front end (both servers; each knob says which
+/// server reads it).
 #[derive(Debug, Clone)]
 pub struct TcpServerConfig {
-    /// Which serving architecture [`FrontendServer::spawn_with`] starts.
-    /// [`TcpServer`]/[`crate::reactor::ReactorServer`] spawned directly
-    /// ignore this.
-    pub frontend: Frontend,
     /// Threads front end: maximum concurrently served connections (= pool
     /// threads); one beyond this is answered with an `overloaded` error
     /// frame and closed.
@@ -117,8 +75,8 @@ pub struct TcpServerConfig {
     /// How long shutdown waits for in-flight requests before force-closing
     /// remaining connections.
     pub drain_deadline: Duration,
-    /// `Some(primary_addr)` runs this node as a read replica:
-    /// [`FrontendServer::spawn_with`] marks the handler so writes get a
+    /// `Some(primary_addr)` runs this node as a read replica: every
+    /// server's `spawn_with` marks the handler so writes get a
     /// `not-primary` redirect carrying this address. Starting the tail
     /// that actually pulls the primary's log is the caller's job (see
     /// [`crate::repl::ReplicaTail`]); the deployment binary does both.
@@ -128,7 +86,6 @@ pub struct TcpServerConfig {
 impl Default for TcpServerConfig {
     fn default() -> Self {
         TcpServerConfig {
-            frontend: Frontend::default(),
             max_connections: 64,
             max_open_connections: 10_240,
             dispatch_workers: 8,
@@ -140,11 +97,12 @@ impl Default for TcpServerConfig {
     }
 }
 
-/// A running server behind either front end, selected by
-/// [`TcpServerConfig::frontend`]. Both variants speak the same framed XML
-/// protocol, account into the same [`ServerStats`], and drain on
-/// [`FrontendServer::shutdown`] — tests parameterize over this to prove
-/// the two architectures are observationally equivalent.
+/// A running server behind either front end: [`FrontendServer::spawn`]
+/// starts the epoll reactor on Linux and the thread server elsewhere. Both
+/// variants answer every frame through the same request path, account into
+/// the same [`ServerStats`], and drain on [`FrontendServer::shutdown`];
+/// tests build each variant directly to prove the two transports are
+/// observationally equivalent.
 pub enum FrontendServer {
     /// Thread-per-connection ([`TcpServer`]).
     Threads(TcpServer),
@@ -154,28 +112,26 @@ pub enum FrontendServer {
 }
 
 impl FrontendServer {
-    /// Bind `addr` and serve with the default config (reactor on Linux).
+    /// Bind `addr` and serve with the default config.
     pub fn spawn(server: Arc<ReputationServer>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         FrontendServer::spawn_with(server, addr, TcpServerConfig::default())
     }
 
-    /// Bind `addr` and serve with the front end `config.frontend` names.
+    /// Bind `addr` and serve with this platform's server: the reactor on
+    /// Linux, threads elsewhere.
     pub fn spawn_with(
         server: Arc<ReputationServer>,
         addr: impl ToSocketAddrs,
         config: TcpServerConfig,
     ) -> std::io::Result<Self> {
-        if let Some(primary) = &config.replica_of {
-            server.repl_state().set_replica_of(primary.clone());
+        #[cfg(target_os = "linux")]
+        {
+            crate::reactor::ReactorServer::spawn_with(server, addr, config)
+                .map(FrontendServer::Epoll)
         }
-        match config.frontend {
-            Frontend::Threads => {
-                Ok(FrontendServer::Threads(TcpServer::spawn_with(server, addr, config)?))
-            }
-            #[cfg(target_os = "linux")]
-            Frontend::Epoll => Ok(FrontendServer::Epoll(
-                crate::reactor::ReactorServer::spawn_with(server, addr, config)?,
-            )),
+        #[cfg(not(target_os = "linux"))]
+        {
+            TcpServer::spawn_with(server, addr, config).map(FrontendServer::Threads)
         }
     }
 
@@ -289,9 +245,7 @@ impl TcpServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Register the latency series at bind time so `/metrics` exposes
-        // it (at zero) before the first request arrives.
-        let _ = request_spans();
+        prepare_handler(&server, &config);
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(WorkerPool::new(config.max_connections));
         // Share the handler's counter sink, so `/metrics` renders the
@@ -420,10 +374,7 @@ fn handle_accept(
         // Shed load explicitly: tell the peer why, then close. Never
         // spawn beyond the bound.
         stats.record_rejected_overload();
-        let mut writer = stream;
-        let overloaded =
-            Response::error("overloaded", "server is at connection capacity; retry later");
-        let _ = write_frame_with(&mut writer, &overloaded.encode(), &mut Vec::new());
+        let _ = (&stream).write_all(overloaded_frame());
         return;
     };
 
@@ -463,12 +414,11 @@ fn serve_connection(
 ) -> Result<(), FrameError> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    // Frame buffers live for the connection: steady-state requests
-    // allocate nothing in the framing layer.
-    let mut body = Vec::new();
-    let mut scratch = Vec::new();
+    // One buffer lives for the connection: it holds each request body,
+    // then the framed answer, so steady-state framing allocates nothing.
+    let mut frame = Vec::new();
     loop {
-        match read_frame_into(&mut reader, &mut body) {
+        match read_frame_into(&mut reader, &mut frame) {
             Ok(()) => {}
             Err(FrameError::Closed) => return Ok(()),
             Err(FrameError::Io(e)) if is_timeout(&e) => {
@@ -477,19 +427,8 @@ fn serve_connection(
             }
             Err(e) => return Err(e),
         }
-        // read_frame_into validated UTF-8; this can only fail if the
-        // buffer was corrupted between the two calls.
-        let text = std::str::from_utf8(&body).map_err(|_| FrameError::NotUtf8)?;
-        // Every request gets a process-unique id (slow-op attribution);
-        // the latency span itself is 1-in-N sampled.
-        let _scope = span::RequestScope::enter(span::next_request_id());
-        let timer = request_spans().maybe_start();
-        let response = match Request::decode(text) {
-            Ok(request) => server.handle(&request, peer_tag),
-            Err(e) => Response::error("bad-request", e.to_string()),
-        };
-        write_frame_with(&mut writer, &response.encode(), &mut scratch)?;
-        drop(timer);
+        answer_frame(server, &mut frame, peer_tag)?;
+        writer.write_all(&frame)?;
         stats.record_request_served();
         // Drain semantics: the request already in flight is answered, then
         // the connection closes so shutdown can complete.
@@ -503,18 +442,70 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
-/// Sampled latency spans for the decode → handle → respond cycle. The
-/// span lives at the transport layer, not in `handle()`, so the in-memory
-/// dispatch path stays clock-free; socket turnaround dwarfs the sampled
-/// `Instant` reads that do happen. Shared with the reactor front end so
-/// `softrep_request_latency_us` covers both architectures.
-pub(crate) fn request_spans() -> &'static SpanFamily {
-    static FAMILY: std::sync::OnceLock<SpanFamily> = std::sync::OnceLock::new();
+/// Sampled latency spans for [`answer_frame`], from decode through
+/// framing. The span lives at the transport layer, not in `handle()`, so
+/// the in-memory dispatch path stays clock-free; it covers no socket I/O,
+/// so it means the same on both servers.
+fn request_spans() -> &'static SpanFamily {
+    static FAMILY: OnceLock<SpanFamily> = OnceLock::new();
     FAMILY.get_or_init(|| {
         SpanFamily::sampled(
             "tcp_request",
             softrep_obs::registry().histogram("softrep_request_latency_us"),
         )
+    })
+}
+
+/// Set-up every server does at spawn: register the latency series so
+/// `/metrics` exposes it (at zero) before the first request arrives, and
+/// mark the handler a replica when [`TcpServerConfig::replica_of`] is set.
+pub(crate) fn prepare_handler(server: &ReputationServer, config: &TcpServerConfig) {
+    let _ = request_spans();
+    if let Some(primary) = &config.replica_of {
+        server.repl_state().set_replica_of(primary.clone());
+    }
+}
+
+/// The one request path of both servers. `frame` holds a received frame
+/// body; on return it holds the framed answer (header and body), reusing
+/// the buffer's capacity. A body that is not UTF-8 is
+/// [`FrameError::NotUtf8`] and the caller closes the connection. An answer
+/// too large for one frame is replaced by a `response-too-large` error, so
+/// the peer always hears back.
+pub(crate) fn answer_frame(
+    server: &ReputationServer,
+    frame: &mut Vec<u8>,
+    peer_tag: &str,
+) -> Result<(), FrameError> {
+    // Every request gets a process-unique id (slow-op attribution); the
+    // latency span itself is 1-in-N sampled.
+    let _scope = span::RequestScope::enter(span::next_request_id());
+    let timer = request_spans().maybe_start();
+    let text = std::str::from_utf8(frame).map_err(|_| FrameError::NotUtf8)?;
+    let response = match Request::decode(text) {
+        Ok(request) => server.handle(&request, peer_tag),
+        Err(e) => Response::error("bad-request", e.to_string()),
+    };
+    if encode_frame_into(&response.encode(), frame).is_err() {
+        let too_large = Response::error(
+            "response-too-large",
+            format!("the answer exceeds the {MAX_FRAME_LEN}-byte frame limit"),
+        );
+        encode_frame_into(&too_large.encode(), frame)?;
+    }
+    drop(timer);
+    Ok(())
+}
+
+/// The framed `overloaded` answer a server sends a connection it sheds.
+pub(crate) fn overloaded_frame() -> &'static [u8] {
+    static FRAME: OnceLock<Vec<u8>> = OnceLock::new();
+    FRAME.get_or_init(|| {
+        let overloaded =
+            Response::error("overloaded", "server is at connection capacity; retry later");
+        let mut frame = Vec::new();
+        let _ = encode_frame_into(&overloaded.encode(), &mut frame);
+        frame
     })
 }
 

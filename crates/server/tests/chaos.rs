@@ -9,8 +9,7 @@
 //! Every scripted fault runs against *both* serving architectures (the
 //! thread pool and, on Linux, the epoll reactor), and a differential test
 //! replays the seeded sweep against both front ends asserting
-//! byte-identical response transcripts. `SOFTREP_FRONTEND=threads|epoll`
-//! restricts a run to one architecture.
+//! byte-identical response transcripts.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -21,7 +20,9 @@ use softrep_core::clock::SimClock;
 use softrep_core::db::ReputationDb;
 use softrep_proto::framing::write_frame;
 use softrep_proto::{Request, Response};
-use softrep_server::tcp::{Frontend, FrontendServer, TcpClient, TcpServerConfig};
+#[cfg(target_os = "linux")]
+use softrep_server::reactor::ReactorServer;
+use softrep_server::tcp::{FrontendServer, TcpClient, TcpServer, TcpServerConfig};
 use softrep_server::{ReputationServer, ServerConfig};
 
 fn reputation_server() -> Arc<ReputationServer> {
@@ -38,37 +39,27 @@ fn reputation_server() -> Arc<ReputationServer> {
     ))
 }
 
-/// The front ends this run exercises: both by default, one when
-/// `SOFTREP_FRONTEND` says so.
-fn frontends() -> Vec<Frontend> {
-    match std::env::var("SOFTREP_FRONTEND").as_deref() {
-        Ok("threads") => vec![Frontend::Threads],
+/// Starts a server on `server` with `config`, on an ephemeral port.
+type Spawn = fn(Arc<ReputationServer>, TcpServerConfig) -> FrontendServer;
+
+/// Every server this platform has, by name: the thread server, and on
+/// Linux the epoll reactor. Each behavioural test runs against all of them.
+fn servers() -> Vec<(&'static str, Spawn)> {
+    vec![
+        ("threads", |server, config| {
+            FrontendServer::Threads(TcpServer::spawn_with(server, "127.0.0.1:0", config).unwrap())
+        }),
         #[cfg(target_os = "linux")]
-        Ok("epoll") => vec![Frontend::Epoll],
-        _ => {
-            #[cfg(target_os = "linux")]
-            {
-                vec![Frontend::Threads, Frontend::Epoll]
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                vec![Frontend::Threads]
-            }
-        }
-    }
+        ("epoll", |server, config| {
+            FrontendServer::Epoll(ReactorServer::spawn_with(server, "127.0.0.1:0", config).unwrap())
+        }),
+    ]
 }
 
-fn spawn_with(
-    frontend: Frontend,
-    read_timeout: Duration,
-) -> (FrontendServer, Arc<ReputationServer>) {
+fn spawn_with(spawn: Spawn, read_timeout: Duration) -> (FrontendServer, Arc<ReputationServer>) {
     let server = reputation_server();
-    let fe = FrontendServer::spawn_with(
-        Arc::clone(&server),
-        "127.0.0.1:0",
-        TcpServerConfig { frontend, read_timeout, ..TcpServerConfig::default() },
-    )
-    .unwrap();
+    let fe =
+        spawn(Arc::clone(&server), TcpServerConfig { read_timeout, ..TcpServerConfig::default() });
     (fe, server)
 }
 
@@ -118,8 +109,8 @@ impl SplitMix64 {
 /// dropped without a response — and without wedging the front end.
 #[test]
 fn truncated_request_frame_drops_only_that_connection() {
-    for frontend in frontends() {
-        let (fe, _server) = spawn_with(frontend, Duration::from_secs(30));
+    for (name, spawn) in servers() {
+        let (fe, _server) = spawn_with(spawn, Duration::from_secs(30));
 
         let mut stream = TcpStream::connect(fe.local_addr()).unwrap();
         let body = query().encode();
@@ -130,9 +121,9 @@ fn truncated_request_frame_drops_only_that_connection() {
 
         wait_for("truncated connection closed", || fe.stats().closed == 1);
         let stats = fe.stats();
-        assert_eq!(stats.accepted, 1, "{frontend:?}");
-        assert_eq!(stats.requests_served, 0, "{frontend:?}: a torn request must not be dispatched");
-        assert_eq!(stats.active, 0, "{frontend:?}: capacity freed");
+        assert_eq!(stats.accepted, 1, "{name}");
+        assert_eq!(stats.requests_served, 0, "{name}: a torn request must not be dispatched");
+        assert_eq!(stats.active, 0, "{name}: capacity freed");
 
         assert_service_healthy(&fe);
         fe.shutdown();
@@ -144,8 +135,8 @@ fn truncated_request_frame_drops_only_that_connection() {
 /// delay path of the chaos matrix.
 #[test]
 fn mid_frame_stall_is_evicted_at_the_read_deadline() {
-    for frontend in frontends() {
-        let (fe, _server) = spawn_with(frontend, Duration::from_millis(200));
+    for (name, spawn) in servers() {
+        let (fe, _server) = spawn_with(spawn, Duration::from_millis(200));
 
         let mut stream = TcpStream::connect(fe.local_addr()).unwrap();
         let body = query().encode();
@@ -158,12 +149,12 @@ fn mid_frame_stall_is_evicted_at_the_read_deadline() {
         wait_for("stalled connection evicted", || fe.stats().closed == 1);
         assert!(
             started.elapsed() >= Duration::from_millis(150),
-            "{frontend:?}: eviction should come from the read deadline, not an instant error"
+            "{name}: eviction should come from the read deadline, not an instant error"
         );
         let stats = fe.stats();
-        assert_eq!(stats.timed_out, 1, "{frontend:?}: eviction accounted as a timeout");
-        assert_eq!(stats.requests_served, 0, "{frontend:?}");
-        assert_eq!(stats.active, 0, "{frontend:?}");
+        assert_eq!(stats.timed_out, 1, "{name}: eviction accounted as a timeout");
+        assert_eq!(stats.requests_served, 0, "{name}");
+        assert_eq!(stats.active, 0, "{name}");
         drop(stream);
 
         assert_service_healthy(&fe);
@@ -176,20 +167,17 @@ fn mid_frame_stall_is_evicted_at_the_read_deadline() {
 /// service resumes — shed and deadline paths composing.
 #[test]
 fn shed_path_engages_while_stalled_peers_pin_the_workers() {
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let server = reputation_server();
-        let fe = FrontendServer::spawn_with(
+        let fe = spawn(
             Arc::clone(&server),
-            "127.0.0.1:0",
             TcpServerConfig {
-                frontend,
                 max_connections: 2,
                 max_open_connections: 2,
                 read_timeout: Duration::from_millis(400),
                 ..TcpServerConfig::default()
             },
-        )
-        .unwrap();
+        );
 
         // Two silent peers pin the whole capacity.
         let pin_a = TcpStream::connect(fe.local_addr()).unwrap();
@@ -200,10 +188,10 @@ fn shed_path_engages_while_stalled_peers_pin_the_workers() {
         let mut client = TcpClient::connect(fe.local_addr()).unwrap();
         client.set_timeouts(Some(Duration::from_secs(5)), None).unwrap();
         match client.call(&query()) {
-            Ok(Response::Error { code, .. }) => assert_eq!(code, "overloaded", "{frontend:?}"),
-            other => panic!("{frontend:?}: expected an overloaded error frame, got {other:?}"),
+            Ok(Response::Error { code, .. }) => assert_eq!(code, "overloaded", "{name}"),
+            other => panic!("{name}: expected an overloaded error frame, got {other:?}"),
         }
-        assert_eq!(fe.stats().rejected_overload, 1, "{frontend:?}");
+        assert_eq!(fe.stats().rejected_overload, 1, "{name}");
 
         // The deadline evicts the stallers and capacity returns.
         wait_for("stallers evicted", || fe.stats().timed_out == 2);
@@ -223,14 +211,14 @@ fn shed_path_engages_while_stalled_peers_pin_the_workers() {
 fn seeded_fault_sweep_never_degrades_the_service() {
     let seed: u64 =
         std::env::var("SOFTREP_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xdecaf);
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let mut rng = SplitMix64(seed);
-        let (fe, _server) = spawn_with(frontend, Duration::from_millis(300));
+        let (fe, _server) = spawn_with(spawn, Duration::from_millis(300));
 
         let connections = 32;
         let mut well_formed = 0u64;
         for i in 0..connections {
-            let ctx = || format!("{frontend:?}, seed {seed}, connection {i}");
+            let ctx = || format!("{name}, seed {seed}, connection {i}");
             run_sweep_connection(&fe, &mut rng, i, &ctx, &mut well_formed, &mut Vec::new());
         }
 
@@ -244,7 +232,7 @@ fn seeded_fault_sweep_never_degrades_the_service() {
         let stats = fe.stats();
         assert_eq!(
             stats.requests_served, well_formed,
-            "{frontend:?}, seed {seed}: every well-formed request answered, malformed ones \
+            "{name}, seed {seed}: every well-formed request answered, malformed ones \
              never dispatched"
         );
         assert_service_healthy(&fe);
@@ -330,33 +318,33 @@ fn differential_sweep_is_byte_identical_across_front_ends() {
     let seed: u64 =
         std::env::var("SOFTREP_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xdecaf);
 
-    let run = |frontend: Frontend| -> Vec<Vec<u8>> {
+    let run = |(name, spawn): (&str, Spawn)| -> Vec<Vec<u8>> {
         let mut rng = SplitMix64(seed);
-        let (fe, _server) = spawn_with(frontend, Duration::from_millis(300));
+        let (fe, _server) = spawn_with(spawn, Duration::from_millis(300));
         let mut transcript = Vec::new();
         let mut well_formed = 0u64;
         for i in 0..32u64 {
-            let ctx = || format!("{frontend:?}, seed {seed}, connection {i}");
+            let ctx = || format!("{name}, seed {seed}, connection {i}");
             run_sweep_connection(&fe, &mut rng, i, &ctx, &mut well_formed, &mut transcript);
         }
         wait_for("sweep settled", || {
             let s = fe.stats();
             s.closed + s.rejected_overload >= 32 && s.active == 0
         });
-        assert_eq!(fe.stats().requests_served, well_formed, "{frontend:?}");
+        assert_eq!(fe.stats().requests_served, well_formed, "{name}");
         fe.shutdown();
         transcript
     };
 
-    let threads = run(Frontend::Threads);
-    let epoll = run(Frontend::Epoll);
+    let transcripts: Vec<Vec<Vec<u8>>> = servers().into_iter().map(run).collect();
+    let [threads, epoll] = &transcripts[..] else { panic!("Linux has two servers") };
     assert_eq!(threads.len(), epoll.len());
     let markers: [&[u8]; 4] = [b"<hangup>", b"<truncated>", b"<oversized>", b"<partial-header>"];
     assert!(
         threads.iter().any(|t| !markers.contains(&t.as_slice())),
         "the seeded schedule must exercise at least one served response"
     );
-    for (i, (t, e)) in threads.iter().zip(&epoll).enumerate() {
+    for (i, (t, e)) in threads.iter().zip(epoll).enumerate() {
         assert_eq!(
             t,
             e,

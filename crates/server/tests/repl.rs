@@ -23,7 +23,7 @@ use softrep_core::clock::{SimClock, Timestamp};
 use softrep_core::db::ReputationDb;
 use softrep_crypto::salted::SecretPepper;
 use softrep_server::repl::{ReplicaTail, ReplicaTailConfig};
-use softrep_server::tcp::{FrontendServer, TcpServer};
+use softrep_server::tcp::FrontendServer;
 use softrep_server::{ReputationServer, ServerConfig};
 use softrep_storage::batch::WriteBatch;
 use softrep_storage::replication;
@@ -189,7 +189,7 @@ fn replica_converges_byte_identically_through_faults_and_a_restart() {
 
     let primary = file_backed_server(&dir_p);
     let primary_store = Arc::clone(primary.db().store());
-    let tcp = TcpServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+    let tcp = FrontendServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
 
     // Two scheduled stream faults: the first and second proxied
     // connections are cut after 16 KiB and 64 KiB of response bytes.
@@ -275,7 +275,7 @@ fn interrupted_bootstrap_is_redone_not_trusted() {
     }
     // Retire the log so any fresh subscriber must bootstrap.
     primary_store.compact().unwrap();
-    let tcp = TcpServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+    let tcp = FrontendServer::spawn(Arc::clone(&primary), "127.0.0.1:0").unwrap();
 
     // Simulate a replica that died mid-install: sentinel present, half
     // the data missing.

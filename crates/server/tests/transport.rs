@@ -5,9 +5,7 @@
 //!
 //! Every behavioural test runs against *both* serving architectures (the
 //! thread-per-connection pool and, on Linux, the epoll reactor): the two
-//! front ends must be observationally equivalent at this level. Set
-//! `SOFTREP_FRONTEND=threads` or `SOFTREP_FRONTEND=epoll` to restrict a
-//! run to one architecture (the CI epoll shard uses this).
+//! front ends must be observationally equivalent at this level.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -16,9 +14,12 @@ use std::time::{Duration, Instant};
 
 use softrep_core::clock::SimClock;
 use softrep_core::db::ReputationDb;
-use softrep_proto::framing::{read_frame, write_frame, FrameError};
+use softrep_proto::framing::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 use softrep_proto::{Request, Response};
-use softrep_server::tcp::{Frontend, FrontendServer, TcpClient, TcpServerConfig};
+use softrep_server::handler::MAX_REPORT_BEHAVIOURS;
+#[cfg(target_os = "linux")]
+use softrep_server::reactor::ReactorServer;
+use softrep_server::tcp::{FrontendServer, TcpClient, TcpServer, TcpServerConfig};
 use softrep_server::{ReputationServer, ServerConfig};
 
 fn reputation_server(config: ServerConfig) -> Arc<ReputationServer> {
@@ -30,24 +31,21 @@ fn reputation_server(config: ServerConfig) -> Arc<ReputationServer> {
     ))
 }
 
-/// The front ends this run exercises: both by default, one when
-/// `SOFTREP_FRONTEND` says so.
-fn frontends() -> Vec<Frontend> {
-    match std::env::var("SOFTREP_FRONTEND").as_deref() {
-        Ok("threads") => vec![Frontend::Threads],
+/// Starts a server on `server` with `config`, on an ephemeral port.
+type Spawn = fn(Arc<ReputationServer>, TcpServerConfig) -> FrontendServer;
+
+/// Every server this platform has, by name: the thread server, and on
+/// Linux the epoll reactor. Each behavioural test runs against all of them.
+fn servers() -> Vec<(&'static str, Spawn)> {
+    vec![
+        ("threads", |server, config| {
+            FrontendServer::Threads(TcpServer::spawn_with(server, "127.0.0.1:0", config).unwrap())
+        }),
         #[cfg(target_os = "linux")]
-        Ok("epoll") => vec![Frontend::Epoll],
-        _ => {
-            #[cfg(target_os = "linux")]
-            {
-                vec![Frontend::Threads, Frontend::Epoll]
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                vec![Frontend::Threads]
-            }
-        }
-    }
+        ("epoll", |server, config| {
+            FrontendServer::Epoll(ReactorServer::spawn_with(server, "127.0.0.1:0", config).unwrap())
+        }),
+    ]
 }
 
 fn query() -> Request {
@@ -76,19 +74,14 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 /// the same host share one bucket — on both front ends.
 #[test]
 fn reconnecting_flooder_shares_one_bucket_and_gets_throttled() {
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let server = reputation_server(ServerConfig {
             puzzle_difficulty: 0,
             flood_capacity: 3,
             flood_refill_per_hour: 1,
             ..ServerConfig::default()
         });
-        let fe = FrontendServer::spawn_with(
-            Arc::clone(&server),
-            "127.0.0.1:0",
-            TcpServerConfig { frontend, ..TcpServerConfig::default() },
-        )
-        .unwrap();
+        let fe = spawn(Arc::clone(&server), TcpServerConfig::default());
 
         let mut throttled = 0;
         for _ in 0..8 {
@@ -98,12 +91,12 @@ fn reconnecting_flooder_shares_one_bucket_and_gets_throttled() {
                 throttled += 1;
             }
         }
-        assert_eq!(throttled, 5, "{frontend:?}: 3-token burst, then every reconnect throttled");
+        assert_eq!(throttled, 5, "{name}: 3-token burst, then every reconnect throttled");
         assert_eq!(server.flood_guard().rejected_count(), 5);
         assert_eq!(
             server.flood_guard().tracked_identities(),
             1,
-            "{frontend:?}: eight connections from 127.0.0.1 must share one bucket"
+            "{name}: eight connections from 127.0.0.1 must share one bucket"
         );
 
         wait_for("8 served", || fe.stats().requests_served == 8);
@@ -111,7 +104,7 @@ fn reconnecting_flooder_shares_one_bucket_and_gets_throttled() {
         assert_eq!(stats.accepted, 8);
         assert_eq!(
             stats.requests_served, 8,
-            "{frontend:?}: throttled answers are still served responses"
+            "{name}: throttled answers are still served responses"
         );
         fe.shutdown();
     }
@@ -122,19 +115,14 @@ fn reconnecting_flooder_shares_one_bucket_and_gets_throttled() {
 /// reconnects).
 #[test]
 fn two_live_connections_from_one_ip_share_one_bucket() {
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let server = reputation_server(ServerConfig {
             puzzle_difficulty: 0,
             flood_capacity: 2,
             flood_refill_per_hour: 1,
             ..ServerConfig::default()
         });
-        let fe = FrontendServer::spawn_with(
-            Arc::clone(&server),
-            "127.0.0.1:0",
-            TcpServerConfig { frontend, ..TcpServerConfig::default() },
-        )
-        .unwrap();
+        let fe = spawn(Arc::clone(&server), TcpServerConfig::default());
 
         let mut a = TcpClient::connect(fe.local_addr()).unwrap();
         let mut b = TcpClient::connect(fe.local_addr()).unwrap();
@@ -142,8 +130,8 @@ fn two_live_connections_from_one_ip_share_one_bucket() {
         assert!(!is_throttled(&b.call(&query()).unwrap()));
         // The burst of 2 is spent across both connections; either one is
         // now throttled.
-        assert!(is_throttled(&a.call(&query()).unwrap()), "{frontend:?}");
-        assert!(is_throttled(&b.call(&query()).unwrap()), "{frontend:?}");
+        assert!(is_throttled(&a.call(&query()).unwrap()), "{name}");
+        assert!(is_throttled(&b.call(&query()).unwrap()), "{name}");
         assert_eq!(server.flood_guard().tracked_identities(), 1);
         fe.shutdown();
     }
@@ -154,24 +142,21 @@ fn two_live_connections_from_one_ip_share_one_bucket() {
 /// unbounded state table (epoll).
 #[test]
 fn overload_is_shed_with_an_error_frame_and_counted() {
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let server = reputation_server(ServerConfig {
             puzzle_difficulty: 0,
             flood_capacity: u32::MAX,
             flood_refill_per_hour: u32::MAX,
             ..ServerConfig::default()
         });
-        let fe = FrontendServer::spawn_with(
+        let fe = spawn(
             Arc::clone(&server),
-            "127.0.0.1:0",
             TcpServerConfig {
-                frontend,
                 max_connections: 2,
                 max_open_connections: 2,
                 ..TcpServerConfig::default()
             },
-        )
-        .unwrap();
+        );
 
         // Occupy both capacity slots with live connections (a served
         // response proves each one is fully admitted).
@@ -179,7 +164,7 @@ fn overload_is_shed_with_an_error_frame_and_counted() {
         let mut b = TcpClient::connect(fe.local_addr()).unwrap();
         assert!(matches!(a.call(&query()).unwrap(), Response::UnknownSoftware { .. }));
         assert!(matches!(b.call(&query()).unwrap(), Response::UnknownSoftware { .. }));
-        assert_eq!(fe.active_connections(), 2, "{frontend:?}");
+        assert_eq!(fe.active_connections(), 2, "{name}");
 
         // Overflow connections are turned away at the door.
         for _ in 0..3 {
@@ -190,16 +175,16 @@ fn overload_is_shed_with_an_error_frame_and_counted() {
             let resp = Response::decode(&body).unwrap();
             assert!(
                 matches!(resp, Response::Error { ref code, .. } if code == "overloaded"),
-                "{frontend:?}: {resp:?}"
+                "{name}: {resp:?}"
             );
             // After the error frame the server closes the connection.
-            assert!(matches!(read_frame(&mut reader), Err(FrameError::Closed)), "{frontend:?}");
+            assert!(matches!(read_frame(&mut reader), Err(FrameError::Closed)), "{name}");
         }
 
         let stats = fe.stats();
-        assert_eq!(stats.rejected_overload, 3, "{frontend:?}");
-        assert_eq!(stats.accepted, 2, "{frontend:?}: overflow connections never admitted");
-        assert_eq!(stats.active, 2, "{frontend:?}");
+        assert_eq!(stats.rejected_overload, 3, "{name}");
+        assert_eq!(stats.accepted, 2, "{name}: overflow connections never admitted");
+        assert_eq!(stats.active, 2, "{name}");
 
         // Releasing a slot restores service. The freed slot may take a
         // moment to be reclaimed, so retry through residual shed answers.
@@ -214,7 +199,7 @@ fn overload_is_shed_with_an_error_frame_and_counted() {
             }
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert!(served, "{frontend:?}: a freed slot must restore service");
+        assert!(served, "{name}: a freed slot must restore service");
         fe.shutdown();
     }
 }
@@ -223,24 +208,21 @@ fn overload_is_shed_with_an_error_frame_and_counted() {
 /// deadline, freeing its capacity and incrementing `timed_out`.
 #[test]
 fn idle_peer_is_disconnected_at_the_read_deadline() {
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let server = reputation_server(ServerConfig {
             puzzle_difficulty: 0,
             flood_capacity: u32::MAX,
             flood_refill_per_hour: u32::MAX,
             ..ServerConfig::default()
         });
-        let fe = FrontendServer::spawn_with(
+        let fe = spawn(
             Arc::clone(&server),
-            "127.0.0.1:0",
             TcpServerConfig {
-                frontend,
                 max_connections: 4,
                 read_timeout: Duration::from_millis(150),
                 ..TcpServerConfig::default()
             },
-        )
-        .unwrap();
+        );
 
         let mut client = TcpClient::connect(fe.local_addr()).unwrap();
         client.set_timeouts(Some(Duration::from_secs(5)), None).unwrap();
@@ -255,11 +237,11 @@ fn idle_peer_is_disconnected_at_the_read_deadline() {
             // or the write itself already failed on a torn-down socket.
             Ok(_) => false,
         };
-        assert!(disconnected, "{frontend:?}: server must close the idle connection");
+        assert!(disconnected, "{name}: server must close the idle connection");
 
         // The capacity slot is free again and the timeout was counted.
         wait_for("idle conn reaped", || fe.active_connections() == 0);
-        assert_eq!(fe.stats().timed_out, 1, "{frontend:?}");
+        assert_eq!(fe.stats().timed_out, 1, "{name}");
         fe.shutdown();
     }
 }
@@ -269,25 +251,22 @@ fn idle_peer_is_disconnected_at_the_read_deadline() {
 /// and joins every serving thread.
 #[test]
 fn shutdown_latency_is_bounded_by_the_drain_deadline_not_the_read_timeout() {
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let server = reputation_server(ServerConfig {
             puzzle_difficulty: 0,
             flood_capacity: u32::MAX,
             flood_refill_per_hour: u32::MAX,
             ..ServerConfig::default()
         });
-        let fe = FrontendServer::spawn_with(
+        let fe = spawn(
             Arc::clone(&server),
-            "127.0.0.1:0",
             TcpServerConfig {
-                frontend,
                 max_connections: 4,
                 read_timeout: Duration::from_secs(30), // deliberately long
                 drain_deadline: Duration::from_millis(200),
                 ..TcpServerConfig::default()
             },
-        )
-        .unwrap();
+        );
 
         // Two idle keep-alive clients sit in open connections.
         let mut a = TcpClient::connect(fe.local_addr()).unwrap();
@@ -301,11 +280,11 @@ fn shutdown_latency_is_bounded_by_the_drain_deadline_not_the_read_timeout() {
         let elapsed = started.elapsed();
         assert!(
             elapsed < Duration::from_secs(5),
-            "{frontend:?}: shutdown took {elapsed:?}; must not wait out the 30 s read timeout"
+            "{name}: shutdown took {elapsed:?}; must not wait out the 30 s read timeout"
         );
         let s = stats.snapshot();
-        assert_eq!(s.active, 0, "{frontend:?}: every connection closed: {s:?}");
-        assert_eq!(s.accepted, s.closed, "{frontend:?}");
+        assert_eq!(s.active, 0, "{name}: every connection closed: {s:?}");
+        assert_eq!(s.accepted, s.closed, "{name}");
     }
 }
 
@@ -314,19 +293,14 @@ fn shutdown_latency_is_bounded_by_the_drain_deadline_not_the_read_timeout() {
 /// hanging shutdown forever.
 #[test]
 fn shutdown_with_no_traffic_is_prompt() {
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let server = reputation_server(ServerConfig::default());
-        let fe = FrontendServer::spawn_with(
-            server,
-            "127.0.0.1:0",
-            TcpServerConfig { frontend, ..TcpServerConfig::default() },
-        )
-        .unwrap();
+        let fe = spawn(server, TcpServerConfig::default());
         let started = Instant::now();
         fe.shutdown();
         assert!(
             started.elapsed() < Duration::from_secs(2),
-            "{frontend:?}: idle shutdown must be immediate"
+            "{name}: idle shutdown must be immediate"
         );
     }
 }
@@ -335,14 +309,9 @@ fn shutdown_with_no_traffic_is_prompt() {
 /// without taking the serving thread down with a panic.
 #[test]
 fn oversized_frame_header_drops_the_connection_cleanly() {
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let server = reputation_server(ServerConfig::default());
-        let fe = FrontendServer::spawn_with(
-            Arc::clone(&server),
-            "127.0.0.1:0",
-            TcpServerConfig { frontend, ..TcpServerConfig::default() },
-        )
-        .unwrap();
+        let fe = spawn(Arc::clone(&server), TcpServerConfig::default());
 
         let mut stream = TcpStream::connect(fe.local_addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -351,7 +320,7 @@ fn oversized_frame_header_drops_the_connection_cleanly() {
         stream.write_all(&(512u32 * 1024 * 1024).to_be_bytes()).unwrap();
         stream.flush().unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        assert!(read_frame(&mut reader).is_err(), "{frontend:?}: connection must be dropped");
+        assert!(read_frame(&mut reader).is_err(), "{name}: connection must be dropped");
 
         // The server is still alive for well-behaved clients.
         let mut client = TcpClient::connect(fe.local_addr()).unwrap();
@@ -365,19 +334,14 @@ fn oversized_frame_header_drops_the_connection_cleanly() {
 /// arithmetic and the reactor's kernel-buffered pipelining).
 #[test]
 fn request_counter_tracks_pipelined_traffic() {
-    for frontend in frontends() {
+    for (name, spawn) in servers() {
         let server = reputation_server(ServerConfig {
             puzzle_difficulty: 0,
             flood_capacity: u32::MAX,
             flood_refill_per_hour: u32::MAX,
             ..ServerConfig::default()
         });
-        let fe = FrontendServer::spawn_with(
-            Arc::clone(&server),
-            "127.0.0.1:0",
-            TcpServerConfig { frontend, ..TcpServerConfig::default() },
-        )
-        .unwrap();
+        let fe = spawn(Arc::clone(&server), TcpServerConfig::default());
         let stream = TcpStream::connect(fe.local_addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut writer = stream.try_clone().unwrap();
@@ -388,8 +352,8 @@ fn request_counter_tracks_pipelined_traffic() {
             write_frame(&mut writer, &query().encode()).unwrap();
         }
         for i in 0..10 {
-            let body = read_frame(&mut reader)
-                .unwrap_or_else(|e| panic!("{frontend:?}: response {i}: {e}"));
+            let body =
+                read_frame(&mut reader).unwrap_or_else(|e| panic!("{name}: response {i}: {e}"));
             assert!(matches!(Response::decode(&body).unwrap(), Response::UnknownSoftware { .. }));
         }
         wait_for("10 served", || fe.stats().requests_served == 10);
@@ -415,11 +379,10 @@ fn reactor_sustains_1024_slow_loris_connections_while_serving() {
         flood_refill_per_hour: u32::MAX,
         ..ServerConfig::default()
     });
-    let fe = FrontendServer::spawn_with(
+    let fe = ReactorServer::spawn_with(
         Arc::clone(&server),
         "127.0.0.1:0",
         TcpServerConfig {
-            frontend: Frontend::Epoll,
             max_open_connections: 4096,
             read_timeout: Duration::from_secs(60), // hold the flood open
             drain_deadline: Duration::from_millis(250),
@@ -467,4 +430,137 @@ fn reactor_sustains_1024_slow_loris_connections_while_serving() {
     let stats = fe.stats_handle();
     fe.shutdown();
     assert_eq!(stats.snapshot().active, 0, "shutdown must reap the flood");
+}
+
+/// Joins `name` as an active member (puzzles are off) and returns a session.
+fn join(server: &ReputationServer, name: &str) -> String {
+    let register = Request::Register {
+        username: name.into(),
+        password: "pw".into(),
+        email: format!("{name}@example.com"),
+        puzzle_challenge: String::new(),
+        puzzle_solution: 0,
+    };
+    let Response::Registered { activation_token } = server.handle(&register, name) else {
+        panic!("{name} could not register")
+    };
+    let activate = Request::Activate { username: name.into(), token: activation_token };
+    assert_eq!(server.handle(&activate, name), Response::Ok);
+    let login = Request::Login { username: name.into(), password: "pw".into() };
+    let Response::Session { token } = server.handle(&login, name) else {
+        panic!("{name} could not log in")
+    };
+    token
+}
+
+/// Two members each vote on one title with 6,000 distinct ~100-byte
+/// behaviour names. Each vote fits one request frame, but a report listing
+/// all 12,000 names would not fit one response frame. The title's report
+/// must still be answered, with a report, on both servers: a closed
+/// connection reads as a transport failure, so clients would retry it
+/// forever.
+#[test]
+fn a_title_flooded_with_behaviour_names_still_gets_a_report() {
+    let server = reputation_server(ServerConfig {
+        puzzle_difficulty: 0,
+        flood_capacity: u32::MAX,
+        flood_refill_per_hour: u32::MAX,
+        ..ServerConfig::default()
+    });
+    let title = "ab".repeat(20);
+    let register = Request::RegisterSoftware {
+        software_id: title.clone(),
+        file_name: "flooded.exe".into(),
+        file_size: 1,
+        company: None,
+        version: None,
+    };
+    assert_eq!(server.handle(&register, "setup"), Response::Ok);
+    for member in ["member-a", "member-b"] {
+        let session = join(&server, member);
+        let behaviours =
+            (0..6_000).map(|i| format!("{member}-{i:05}-{}", "x".repeat(85))).collect();
+        let vote =
+            Request::SubmitVote { session, software_id: title.clone(), score: 2, behaviours };
+        assert!(vote.encode().len() < MAX_FRAME_LEN as usize, "each vote fits one frame");
+        // Accepted or refused, the title's report must stay answerable.
+        let _ = server.handle(&vote, member);
+    }
+    server.run_full_aggregation();
+
+    for (name, spawn) in servers() {
+        let fe = spawn(Arc::clone(&server), TcpServerConfig::default());
+        let mut client = TcpClient::connect(fe.local_addr()).unwrap();
+        client.set_timeouts(Some(Duration::from_secs(10)), None).unwrap();
+        let resp = client
+            .call(&Request::QuerySoftware { software_id: title.clone() })
+            .unwrap_or_else(|e| panic!("{name}: the report got no answer: {e}"));
+        let Response::Software(info) = resp else { panic!("{name}: {resp:?}") };
+        assert!(info.behaviours.len() <= MAX_REPORT_BEHAVIOURS, "{name}");
+        fe.shutdown();
+    }
+}
+
+/// An answer that cannot fit one frame (here: a comment cap far above the
+/// 41 comments a frame holds) is replaced by a typed
+/// `response-too-large` error, and the connection stays usable. Both
+/// servers answer it the same way, because they share one request path.
+#[test]
+fn an_answer_too_large_for_one_frame_is_a_typed_error() {
+    let server = reputation_server(ServerConfig {
+        puzzle_difficulty: 0,
+        flood_capacity: u32::MAX,
+        flood_refill_per_hour: u32::MAX,
+        max_comments_in_report: 64,
+        ..ServerConfig::default()
+    });
+    let title = "cd".repeat(20);
+    let register = Request::RegisterSoftware {
+        software_id: title.clone(),
+        file_name: "talkative.exe".into(),
+        file_size: 1,
+        company: None,
+        version: None,
+    };
+    assert_eq!(server.handle(&register, "setup"), Response::Ok);
+    let session = join(&server, "commenter");
+    for _ in 0..64 {
+        // Each apostrophe encodes as the 6-byte `&apos;`.
+        let comment = Request::SubmitComment {
+            session: session.clone(),
+            software_id: title.clone(),
+            text: "'".repeat(4096),
+        };
+        assert_eq!(server.handle(&comment, "commenter"), Response::Ok);
+    }
+
+    for (name, spawn) in servers() {
+        let fe = spawn(Arc::clone(&server), TcpServerConfig::default());
+        let mut client = TcpClient::connect(fe.local_addr()).unwrap();
+        client.set_timeouts(Some(Duration::from_secs(10)), None).unwrap();
+        let resp = client.call(&Request::QuerySoftware { software_id: title.clone() }).unwrap();
+        assert!(
+            matches!(&resp, Response::Error { code, .. } if code == "response-too-large"),
+            "{name}: {resp:?}"
+        );
+        assert!(matches!(client.call(&query()).unwrap(), Response::UnknownSoftware { .. }));
+        fe.shutdown();
+    }
+}
+
+/// `replica_of` marks the handler whichever server is spawned, so both
+/// redirect writes to the primary.
+#[test]
+fn replica_of_redirects_writes_on_both_servers() {
+    for (name, spawn) in servers() {
+        let server = reputation_server(ServerConfig::default());
+        let primary = "192.0.2.1:7007".to_string();
+        let config = TcpServerConfig { replica_of: Some(primary.clone()), ..Default::default() };
+        let fe = spawn(server, config);
+        let mut client = TcpClient::connect(fe.local_addr()).unwrap();
+        let resp = client.call(&Request::GetPuzzle).unwrap();
+        assert_eq!(resp, Response::NotPrimary { primary: primary.clone() }, "{name}");
+        drop(client);
+        fe.shutdown();
+    }
 }

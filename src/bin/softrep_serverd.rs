@@ -8,7 +8,7 @@
 //! softrep-serverd [--data DIR] [--proto ADDR] [--web ADDR]
 //!                [--pepper SECRET] [--puzzle-difficulty N]
 //!                [--analyzer-token TOKEN] [--durability MODE]
-//!                [--frontend threads|epoll] [--replica-of ADDR]
+//!                [--replica-of ADDR]
 //! ```
 //!
 //! `--replica-of ADDR` runs this node as a read replica of the primary at
@@ -19,10 +19,9 @@
 //! Replicas skip the aggregation schedule — rating records are computed
 //! on the primary and replicated like any other data.
 //!
-//! `--frontend` selects the protocol serving architecture: `epoll`
-//! (default on Linux) runs the event-driven reactor — one event loop,
-//! thousands of concurrent connections; `threads` runs the portable
-//! thread-per-connection pool (64 workers).
+//! The protocol port is served by the event-driven reactor on Linux (one
+//! event loop, thousands of concurrent connections) and by the portable
+//! thread-per-connection pool (64 workers) elsewhere.
 //!
 //! `--durability` selects the WAL sync policy: `always` (fsync before every
 //! commit returns, group-committed across concurrent writers), `batched:N`
@@ -41,7 +40,7 @@ use softwareputation::core::clock::SystemClock;
 use softwareputation::core::db::ReputationDb;
 use softwareputation::crypto::salted::SecretPepper;
 use softwareputation::server::repl::ReplicaTail;
-use softwareputation::server::tcp::{Frontend, FrontendServer, TcpServerConfig};
+use softwareputation::server::tcp::{FrontendServer, TcpServerConfig};
 use softwareputation::server::web::WebServer;
 use softwareputation::server::{ReputationServer, ServerConfig};
 use softwareputation::storage::{DurabilityMode, Store, StoreOptions};
@@ -54,7 +53,6 @@ struct Args {
     puzzle_difficulty: u8,
     analyzer_token: Option<String>,
     durability: DurabilityMode,
-    frontend: Frontend,
     replica_of: Option<String>,
 }
 
@@ -81,7 +79,6 @@ fn parse_args() -> Result<Args, String> {
         puzzle_difficulty: 12,
         analyzer_token: None,
         durability: DurabilityMode::default(),
-        frontend: Frontend::default(),
         replica_of: None,
     };
     let mut it = std::env::args().skip(1);
@@ -99,14 +96,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--analyzer-token" => args.analyzer_token = Some(value("--analyzer-token")?),
             "--durability" => args.durability = parse_durability(&value("--durability")?)?,
-            "--frontend" => args.frontend = value("--frontend")?.parse()?,
             "--replica-of" => args.replica_of = Some(value("--replica-of")?),
             "--help" | "-h" => {
                 println!(
                     "softrep-serverd --data DIR --proto ADDR --web ADDR \
                      [--pepper SECRET] [--puzzle-difficulty N] [--analyzer-token TOKEN] \
-                     [--durability always|batched:BYTES|os] [--frontend threads|epoll] \
-                     [--replica-of ADDR]"
+                     [--durability always|batched:BYTES|os] [--replica-of ADDR]"
                 );
                 std::process::exit(0);
             }
@@ -160,11 +155,8 @@ fn main() {
         seed,
     ));
 
-    let tcp_config = TcpServerConfig {
-        frontend: args.frontend,
-        replica_of: args.replica_of.clone(),
-        ..TcpServerConfig::default()
-    };
+    let tcp_config =
+        TcpServerConfig { replica_of: args.replica_of.clone(), ..TcpServerConfig::default() };
     let tcp = match FrontendServer::spawn_with(Arc::clone(&server), args.proto.as_str(), tcp_config)
     {
         Ok(tcp) => tcp,
@@ -198,7 +190,6 @@ fn main() {
     println!("  data      {}", args.data);
     println!("  protocol  {}", tcp.local_addr());
     println!("  web       http://{}", web.local_addr());
-    println!("  frontend  {:?}", args.frontend);
     if let Some(primary) = &args.replica_of {
         println!("  replica-of {primary}");
     }
