@@ -187,6 +187,19 @@ mod tests {
         assert_eq!(rec.computed_at, Timestamp(7));
     }
 
+    /// One member, one voice: a name repeated inside one vote counts once,
+    /// so one voter cannot outrank two.
+    #[test]
+    fn a_behaviour_counts_once_per_vote() {
+        let votes = vec![
+            vote("a", "sw", 3, &["spyware", "spyware", "spyware"]),
+            vote("b", "sw", 3, &["popup_ads"]),
+            vote("c", "sw", 3, &["popup_ads"]),
+        ];
+        let rec = aggregate_software("sw", &votes, |_| Some(1.0), Timestamp(0)).unwrap();
+        assert_eq!(rec.behaviours, vec![("popup_ads".to_string(), 2), ("spyware".to_string(), 1)]);
+    }
+
     #[test]
     fn aggregate_uses_trust_snapshot() {
         let votes = vec![vote("expert", "sw", 2, &[]), vote("novice", "sw", 10, &[])];

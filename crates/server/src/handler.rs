@@ -817,6 +817,28 @@ mod tests {
         assert_eq!(server.db().aggregation_stats().full_runs, 1);
     }
 
+    /// One identity at the deployed flood limits (60 burst, 120/hour) asks
+    /// for puzzles as fast as the guard allows and redeems none. With
+    /// daily ticks, what stays outstanding after a tick must not grow from
+    /// day to day: at most one day of that identity's flood budget.
+    #[test]
+    fn unredeemed_puzzles_do_not_accumulate_across_daily_ticks() {
+        let (server, clock) = server_with(ServerConfig::default());
+        let day_budget = 60 + 120 * 24;
+        for day in 1..=4 {
+            for _ in 0..120 * 24 {
+                clock.advance_secs(30);
+                while matches!(
+                    server.handle(&Request::GetPuzzle, "10.0.0.9"),
+                    Response::Puzzle { .. }
+                ) {}
+            }
+            server.tick();
+            let outstanding = server.puzzles.outstanding_count();
+            assert!(outstanding <= day_budget, "day {day}: {outstanding} challenges outstanding");
+        }
+    }
+
     #[test]
     fn comments_flow_through_reports_and_remarks() {
         let (server, _) = server();

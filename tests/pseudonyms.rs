@@ -3,6 +3,7 @@
 //! server can verify membership without being able to link the pseudonym
 //! back — and the database breach audit shows what that buys.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use softwareputation::core::clock::SimClock;
@@ -10,26 +11,44 @@ use softwareputation::core::db::ReputationDb;
 use softwareputation::crypto::bignum::BigUint;
 use softwareputation::crypto::hex;
 use softwareputation::crypto::rsa::{BlindingSession, RsaPublicKey};
+use softwareputation::crypto::salted::SecretPepper;
 use softwareputation::proto::{Request, Response};
 use softwareputation::server::{ReputationServer, ServerConfig};
+use softwareputation::storage::Store;
+
+#[path = "support/tempdir.rs"]
+mod tempdir;
+
+use tempdir::TempDir;
+
+fn config() -> ServerConfig {
+    ServerConfig {
+        puzzle_difficulty: 0,
+        flood_capacity: u32::MAX,
+        flood_refill_per_hour: u32::MAX,
+        // Small key keeps debug-mode tests fast; the scheme is
+        // size-agnostic (the deployment binary uses 1024).
+        pseudonym_key_bits: 256,
+        ..ServerConfig::default()
+    }
+}
 
 fn server() -> (Arc<ReputationServer>, SimClock) {
     let clock = SimClock::new();
     let server = Arc::new(ReputationServer::new(
         ReputationDb::in_memory("pseudo"),
         Arc::new(clock.clone()),
-        ServerConfig {
-            puzzle_difficulty: 0,
-            flood_capacity: u32::MAX,
-            flood_refill_per_hour: u32::MAX,
-            // Small key keeps debug-mode tests fast; the scheme is
-            // size-agnostic (the deployment binary uses 1024).
-            pseudonym_key_bits: 256,
-            ..ServerConfig::default()
-        },
+        config(),
         23,
     ));
     (server, clock)
+}
+
+/// A server over a durable store in `dir`, as a deployment restarts it.
+fn server_on_disk(dir: &Path, clock: &SimClock, rng_seed: u64) -> ReputationServer {
+    let store = Store::open(dir).expect("open store");
+    let db = ReputationDb::new(Arc::new(store), SecretPepper::new("pseudo"));
+    ReputationServer::new(db, Arc::new(clock.clone()), config(), rng_seed)
 }
 
 fn join(server: &ReputationServer, name: &str) -> String {
@@ -152,6 +171,34 @@ fn pseudonym_lifecycle_and_unlinkability() {
         "h",
     );
     assert!(matches!(resp, Response::Error { ref code, .. } if code == "invalid-input"));
+}
+
+/// A credential outlives the server process that signed it: draw under one
+/// server, restart over the same data directory with a different RNG seed,
+/// and redeem. The member cannot draw again, so a key that changed across
+/// the restart would strand the credential for good.
+#[test]
+fn a_credential_drawn_before_a_restart_redeems_after_it() {
+    let dir = TempDir::new("pseudonym-restart");
+    let clock = SimClock::new();
+    let (token, signature) = {
+        let server = server_on_disk(dir.path(), &clock, 1);
+        let session = join(&server, "member");
+        draw_credential(&server, &session, 4)
+    };
+
+    let server = server_on_disk(dir.path(), &clock, 2);
+    let resp = server.handle(
+        &Request::RegisterPseudonym {
+            username: "after_restart".into(),
+            password: "pw".into(),
+            token,
+            signature,
+        },
+        "some-other-host",
+    );
+    assert_eq!(resp, Response::Ok);
+    assert!(server.db().user("after_restart").unwrap().unwrap().pseudonym);
 }
 
 #[test]
