@@ -74,14 +74,21 @@ pub fn aggregate_software_with_masses(
     let mut score_mass = 0.0;
     let mut trust_mass = 0.0;
     let mut behaviour_counts: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut names: Vec<&str> = Vec::new();
 
     for vote in votes {
         debug_assert_eq!(vote.software_id, software_id);
         let weight = trust_of(&vote.username).unwrap_or(crate::trust::MIN_TRUST).max(0.0);
         score_mass += f64::from(vote.score) * weight;
         trust_mass += weight;
-        for behaviour in &vote.behaviours {
-            *behaviour_counts.entry(behaviour.as_str()).or_insert(0) += 1;
+        // One member, one voice: a name repeated inside one vote counts
+        // once (votes stored before the db refused repeats may hold some).
+        names.clear();
+        names.extend(vote.behaviours.iter().map(String::as_str));
+        names.sort_unstable();
+        names.dedup();
+        for name in &names {
+            *behaviour_counts.entry(name).or_insert(0) += 1;
         }
     }
     if trust_mass <= 0.0 {

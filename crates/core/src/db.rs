@@ -38,8 +38,8 @@ use crate::error::{CoreError, CoreResult};
 use crate::extensions::{EvidenceRecord, FeedEntryRecord, FeedRecord};
 use crate::model::{
     AccumulatorRecord, CommentRecord, CommentStatus, RatingRecord, RemarkRecord, SoftwareRecord,
-    TrustRecord, UserRecord, VoteRecord, MAX_BEHAVIOUR_LEN, MAX_SCORE, MAX_SOFTWARE_FIELD_LEN,
-    MIN_SCORE,
+    TrustRecord, UserRecord, VoteRecord, MAX_BEHAVIOURS, MAX_BEHAVIOUR_LEN, MAX_SCORE,
+    MAX_SOFTWARE_FIELD_LEN, MIN_SCORE,
 };
 use crate::moderation::{apply_decision, ModerationDecision, ModerationPolicy, ModerationStats};
 use crate::trust::{deltas, TrustEngine};
@@ -1499,11 +1499,24 @@ fn validate_feed_name(name: &str) -> CoreResult<()> {
     Ok(())
 }
 
+/// At most [`MAX_BEHAVIOURS`] names, each at most [`MAX_BEHAVIOUR_LEN`]
+/// bytes, none repeated: one member, one voice per behaviour.
 fn validate_behaviours(behaviours: &[String]) -> CoreResult<()> {
+    if behaviours.len() > MAX_BEHAVIOURS {
+        return Err(CoreError::InvalidInput(format!(
+            "at most {MAX_BEHAVIOURS} behaviour names may be given"
+        )));
+    }
     if behaviours.iter().any(|b| b.len() > MAX_BEHAVIOUR_LEN) {
         return Err(CoreError::InvalidInput(format!(
             "behaviour names must be at most {MAX_BEHAVIOUR_LEN} bytes"
         )));
+    }
+    let mut names: Vec<&str> = behaviours.iter().map(String::as_str).collect();
+    names.sort_unstable();
+    names.dedup();
+    if names.len() != behaviours.len() {
+        return Err(CoreError::InvalidInput("behaviour names must not repeat".into()));
     }
     Ok(())
 }
@@ -1692,6 +1705,43 @@ mod tests {
                 } else {
                     result.unwrap();
                 }
+            }
+        }
+    }
+
+    /// One member, one voice: a vote may name a behaviour once, and name at
+    /// most as many as a report shows. Every entry point shares the bound.
+    #[test]
+    fn behaviour_lists_are_bounded_and_free_of_repeats() {
+        let db = db_with_member();
+        assert!(db.register_software(&sw_id(1), "app.exe", 1, None, None, Timestamp(0)).unwrap());
+        db.create_feed("feed-a", "alice", Timestamp(0)).unwrap();
+        let names = |n: usize| (0..n).map(|i| format!("b{i}")).collect::<Vec<_>>();
+        let repeated = vec!["spyware".to_string(), "tracking".into(), "spyware".into()];
+        for (behaviours, ok) in
+            [(names(MAX_BEHAVIOURS), true), (names(MAX_BEHAVIOURS + 1), false), (repeated, false)]
+        {
+            let entry = BootstrapEntry {
+                software_id: sw_id(2),
+                rating: 5.0,
+                vote_count: 1,
+                behaviours: behaviours.clone(),
+            };
+            let results = [
+                db.submit_vote("alice", &sw_id(1), 5, behaviours.clone(), Timestamp(1)),
+                db.record_evidence(&sw_id(1), behaviours.clone(), "sandbox", Timestamp(1)),
+                db.publish_feed_entry(
+                    "alice",
+                    "feed-a",
+                    &sw_id(1),
+                    5.0,
+                    behaviours.clone(),
+                    Timestamp(1),
+                ),
+                db.bootstrap(&[entry], Timestamp(1)).map(|_| ()),
+            ];
+            for result in results {
+                assert_eq!(result.is_ok(), ok, "{} names: {result:?}", behaviours.len());
             }
         }
     }

@@ -132,6 +132,29 @@ pub const MAX_SCORE: u8 = 10;
 /// frame (the server's report renderer holds the arithmetic).
 pub const MAX_BEHAVIOUR_LEN: usize = 64;
 
+/// Most behaviour names one vote, evidence record, feed entry or bootstrap
+/// entry may carry, and most behaviours (and most verified behaviours) one
+/// software report lists, the most reported first. One constant bounds
+/// both, so what one member can report is what a report can show.
+///
+/// With this cap and the other field bounds, a report's response body is
+/// at most (every field at its bound, every byte escaped to a 6-byte
+/// entity such as `&apos;`):
+///
+/// ```text
+/// declaration, envelope, id, vote count, rating    < 300
+/// file name, company, version   3 × 255 × 6 + 61   = 4,651
+/// behaviours                    32 × (64 × 6 + 23) = 13,024
+/// verified behaviours           32 × (64 × 6 + 41) = 13,600
+/// each comment   4,096 × 6 text + 32 author + 2 × 20 digits + 46 tags = 24,694
+/// ```
+///
+/// That is 31,575 + 24,694 × comments bytes: 278,515 at the server's
+/// default of 10 comments per report, and within one 1 MiB protocol frame
+/// (1,048,576 bytes) up to 41. A larger comment cap can make a report too
+/// large for one frame; the server then answers `response-too-large`.
+pub const MAX_BEHAVIOURS: usize = 32;
+
 /// Longest file name, company or version, in bytes, that a software record
 /// may carry: 255 is the usual file-system limit on one file name.
 pub const MAX_SOFTWARE_FIELD_LEN: usize = 255;

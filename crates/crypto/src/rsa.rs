@@ -33,6 +33,9 @@ pub struct RsaKeypair {
     d: BigUint,
 }
 
+/// First line of [`RsaKeypair::encode`]'s text.
+const KEYPAIR_HEADER: &str = "softrep-rsa-keypair v1";
+
 /// An RSA signature (the value `s = m^d mod n`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsaSignature(pub BigUint);
@@ -71,6 +74,40 @@ impl RsaKeypair {
     /// step of blind signing (the server never sees the message).
     pub fn sign_raw(&self, blinded: &BigUint) -> BigUint {
         blinded.rem(&self.public.n).mod_exp(&self.d, &self.public.n)
+    }
+
+    /// Encode the keypair, private exponent included, as text: a header
+    /// line, then `n`, `e` and `d` in hex, one per line. The text is as
+    /// secret as the key.
+    pub fn encode(&self) -> String {
+        format!(
+            "{KEYPAIR_HEADER}\nn {}\ne {}\nd {}\n",
+            self.public.n.to_hex(),
+            self.public.e.to_hex(),
+            self.d.to_hex()
+        )
+    }
+
+    /// Decode [`RsaKeypair::encode`]'s text. `None` unless every line
+    /// parses and a signature made with the decoded private exponent
+    /// verifies under the decoded public key, so a torn or altered
+    /// encoding never yields a key that signs garbage.
+    pub fn decode(text: &str) -> Option<Self> {
+        let mut lines = text.lines();
+        if lines.next()? != KEYPAIR_HEADER {
+            return None;
+        }
+        let mut field = |name: &str| {
+            let line = lines.next()?;
+            BigUint::from_hex(line.strip_prefix(name)?.strip_prefix(' ')?)
+        };
+        let (n, e, d) = (field("n")?, field("e")?, field("d")?);
+        if lines.next().is_some() || n.bits() < 64 {
+            return None;
+        }
+        let key = RsaKeypair { public: RsaPublicKey { n, e }, d };
+        let probe = b"softrep keypair self-check";
+        key.public.verify(probe, &key.sign(probe)).then_some(key)
     }
 }
 
@@ -154,6 +191,29 @@ mod tests {
         let kp2 = RsaKeypair::generate(256, &mut rng);
         let sig = kp1.sign(b"msg");
         assert!(!kp2.public_key().verify(b"msg", &sig));
+    }
+
+    #[test]
+    fn encoded_keypairs_decode_to_the_same_key() {
+        let kp = keypair();
+        let decoded = RsaKeypair::decode(&kp.encode()).expect("round trip");
+        assert_eq!(decoded.public_key(), kp.public_key());
+        assert_eq!(decoded.sign(b"msg"), kp.sign(b"msg"));
+    }
+
+    #[test]
+    fn torn_or_altered_encodings_do_not_decode() {
+        let text = keypair().encode();
+        for cut in [0, 10, text.len() / 2, text.len() - 2] {
+            assert!(RsaKeypair::decode(&text[..cut]).is_none(), "cut at {cut}");
+        }
+        // A different private exponent fails the self-signature check.
+        let other = RsaKeypair::generate(256, &mut StdRng::seed_from_u64(9));
+        let d_line = |t: &str| t.lines().last().unwrap().to_string();
+        let swapped = text.replace(&d_line(&text), &d_line(&other.encode()));
+        assert!(RsaKeypair::decode(&swapped).is_none());
+        assert!(RsaKeypair::decode(&format!("{text}extra\n")).is_none());
+        assert!(RsaKeypair::decode("softrep-rsa-keypair v1\nn 0\ne 0\nd 0\n").is_none());
     }
 
     #[test]

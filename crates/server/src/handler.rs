@@ -4,11 +4,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use softrep_core::clock::{Clock, Timestamp};
 use softrep_core::db::{ReputationDb, SoftwareReport};
 use softrep_core::error::CoreError;
+use softrep_core::model::MAX_BEHAVIOURS;
 use softrep_crypto::bignum::BigUint;
 use softrep_crypto::rsa::{RsaKeypair, RsaSignature};
 use softrep_crypto::sha256::Sha256;
@@ -16,32 +17,11 @@ use softrep_proto::message::{CommentInfo, SoftwareInfo};
 use softrep_proto::{Request, Response};
 
 use crate::flood::FloodGuard;
+use crate::pseudonym_key::PseudonymKey;
 use crate::puzzle_gate::{PuzzleGate, PuzzleRejection};
 use crate::repl::ReplServerState;
 use crate::session::SessionManager;
 use crate::stats::ServerStats;
-
-/// Most behaviours, and most verified behaviours, one software report
-/// lists, the most reported first; comments are capped by
-/// [`ServerConfig::max_comments_in_report`].
-///
-/// With this cap and the db's field bounds, a report's response body is at
-/// most (every field at its bound, every byte escaped to a 6-byte entity
-/// such as `&apos;`):
-///
-/// ```text
-/// declaration, envelope, id, vote count, rating    < 300
-/// file name, company, version   3 × 255 × 6 + 61   = 4,651
-/// behaviours                    32 × (64 × 6 + 23) = 13,024
-/// verified behaviours           32 × (64 × 6 + 41) = 13,600
-/// each comment   4,096 × 6 text + 32 author + 2 × 20 digits + 46 tags = 24,694
-/// ```
-///
-/// That is 31,575 + 24,694 × comments bytes: 278,515 at the default 10
-/// comments, and within `MAX_FRAME_LEN` (1,048,576) up to 41. A larger
-/// comment cap can make a report too large for one frame; the server then
-/// answers `response-too-large` instead.
-pub const MAX_REPORT_BEHAVIOURS: usize = 32;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -65,8 +45,11 @@ pub struct ServerConfig {
     /// submission). `None` disables the evidence endpoint.
     pub analyzer_token: Option<String>,
     /// Modulus size for the §5 pseudonym-credential RSA key. 0 (the
-    /// default) disables the pseudonym endpoints and skips keygen at
-    /// startup; the deployment binary enables 1024.
+    /// default) disables the pseudonym endpoints; the deployment binary
+    /// enables 1024. No start generates the key: the first pseudonym
+    /// request loads it from the store directory, or generates one of this
+    /// size and writes it there (see [`crate::pseudonym_key`]). A key
+    /// already on disk is used at whatever size it was made.
     pub pseudonym_key_bits: u32,
 }
 
@@ -95,7 +78,8 @@ pub struct ReputationServer {
     flood: FloodGuard,
     config: ServerConfig,
     rng: Mutex<StdRng>,
-    pseudonym_key: Option<RsaKeypair>,
+    /// `None` when pseudonyms are disabled.
+    pseudonym_key: Option<PseudonymKey>,
     stats: Arc<ServerStats>,
     repl: ReplServerState,
 }
@@ -111,7 +95,7 @@ impl ReputationServer {
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(rng_seed);
         let pseudonym_key = (config.pseudonym_key_bits > 0)
-            .then(|| RsaKeypair::generate(config.pseudonym_key_bits.max(64), &mut rng));
+            .then(|| PseudonymKey::new(config.pseudonym_key_bits, rng.next_u64()));
         ReputationServer {
             sessions: SessionManager::new(config.session_ttl_secs),
             puzzles: PuzzleGate::new(config.puzzle_difficulty),
@@ -162,11 +146,13 @@ impl ReputationServer {
     }
 
     /// Run periodic maintenance: the 24 h aggregation batch (incremental —
-    /// only titles dirtied since the previous batch) and session pruning.
-    /// Returns the number of ratings recomputed.
+    /// only titles dirtied since the previous batch), and pruning of
+    /// expired sessions and puzzle challenges. Returns the number of
+    /// ratings recomputed.
     pub fn tick(&self) -> usize {
         let now = self.clock.now();
         self.sessions.prune(now);
+        self.puzzles.prune(now);
         self.db.run_aggregation_if_due(now).unwrap_or(0)
     }
 
@@ -322,7 +308,7 @@ impl ReputationServer {
         }
         match request {
             Request::GetPuzzle => {
-                let challenge = self.puzzles.issue(&mut *self.rng.lock());
+                let challenge = self.puzzles.issue(&mut *self.rng.lock(), now);
                 Response::Puzzle { challenge }
             }
             Request::Register { username, password, email, puzzle_challenge, puzzle_solution } => {
@@ -464,16 +450,17 @@ impl ReputationServer {
                     Err(e) => error_response(e),
                 }
             }
-            Request::GetPseudonymKey => match &self.pseudonym_key {
-                Some(key) => Response::PseudonymKey {
+            Request::GetPseudonymKey => match self.pseudonym_key() {
+                Ok(key) => Response::PseudonymKey {
                     n: key.public_key().n.to_hex(),
                     e: key.public_key().e.to_hex(),
                 },
-                None => Response::error("pseudonyms-disabled", "no pseudonym key configured"),
+                Err((code, message)) => Response::error(code, message),
             },
             Request::BlindSignPseudonym { session, blinded } => {
-                let Some(key) = &self.pseudonym_key else {
-                    return Response::error("pseudonyms-disabled", "no pseudonym key configured");
+                let key = match self.pseudonym_key() {
+                    Ok(key) => key,
+                    Err((code, message)) => return Response::error(code, message),
                 };
                 let Some(username) = self.sessions.resolve(session, now) else {
                     return Response::error("bad-session", "session invalid or expired");
@@ -489,8 +476,9 @@ impl ReputationServer {
                 Response::BlindSignature { value: key.sign_raw(&blinded).to_hex() }
             }
             Request::RegisterPseudonym { username, password, token, signature } => {
-                let Some(key) = &self.pseudonym_key else {
-                    return Response::error("pseudonyms-disabled", "no pseudonym key configured");
+                let key = match self.pseudonym_key() {
+                    Ok(key) => key,
+                    Err((code, message)) => return Response::error(code, message),
                 };
                 let (Some(token_bytes), Some(sig_value)) =
                     (softrep_crypto::hex::decode(token), BigUint::from_hex(signature))
@@ -520,19 +508,28 @@ impl ReputationServer {
         }
     }
 
+    /// The pseudonym signing key, loaded or made on first use, or the error
+    /// code and message that refuse the request.
+    fn pseudonym_key(&self) -> Result<&RsaKeypair, (&'static str, String)> {
+        let Some(key) = &self.pseudonym_key else {
+            return Err(("pseudonyms-disabled", "no pseudonym key configured".into()));
+        };
+        key.get(self.db.store()).map_err(|reason| ("pseudonym-key-unavailable", reason))
+    }
+
     fn render_report(&self, report: SoftwareReport) -> SoftwareInfo {
         let (rating, vote_count, behaviours) = match &report.rating {
             Some(r) => (
                 Some(r.rating),
                 r.vote_count,
                 // The tally is sorted most reported first.
-                r.behaviours.iter().take(MAX_REPORT_BEHAVIOURS).map(|(b, _)| b.clone()).collect(),
+                r.behaviours.iter().take(MAX_BEHAVIOURS).map(|(b, _)| b.clone()).collect(),
             ),
             None => (None, 0, Vec::new()),
         };
         let verified_behaviours = report
             .evidence
-            .map(|e| e.behaviours.into_iter().take(MAX_REPORT_BEHAVIOURS).collect())
+            .map(|e| e.behaviours.into_iter().take(MAX_BEHAVIOURS).collect())
             .unwrap_or_default();
         SoftwareInfo {
             software_id: report.software.software_id,
@@ -1035,7 +1032,7 @@ mod tests {
         );
     }
 
-    /// The worst case [`MAX_REPORT_BEHAVIOURS`] documents: every field at
+    /// The worst case [`MAX_BEHAVIOURS`] documents: every field at
     /// its bound and every byte escaped to a 6-byte entity. The report
     /// lists the most reported behaviours first, up to the cap, and its
     /// answer stays within the documented size.
@@ -1052,7 +1049,7 @@ mod tests {
         let t0 = Timestamp(0);
         db.register_software(&sw_id(1), &field, 1, Some(field.clone()), Some(field.clone()), t0)
             .unwrap();
-        let names: Vec<String> = (0..MAX_REPORT_BEHAVIOURS + 8)
+        let names: Vec<String> = (0..MAX_BEHAVIOURS)
             .map(|i| format!("{i:02}{}", "'".repeat(softrep_core::model::MAX_BEHAVIOUR_LEN - 2)))
             .collect();
         for member in ["alice", "bob", "carol"] {
@@ -1071,9 +1068,9 @@ mod tests {
         let resp = server.handle(&Request::QuerySoftware { software_id: sw_id(1) }, "q");
         let size = resp.encode().len();
         let Response::Software(info) = resp else { panic!("{resp:?}") };
-        assert_eq!(info.behaviours.len(), MAX_REPORT_BEHAVIOURS);
+        assert_eq!(info.behaviours.len(), MAX_BEHAVIOURS);
         assert_eq!(info.behaviours[0], "popular", "most reported first");
-        assert_eq!(info.verified_behaviours.len(), MAX_REPORT_BEHAVIOURS);
+        assert_eq!(info.verified_behaviours.len(), MAX_BEHAVIOURS);
         assert_eq!(info.comments.len(), 10);
         assert!(size <= 278_515, "{size} bytes exceeds the documented bound");
     }

@@ -16,6 +16,8 @@
 //! * [`handler`] — [`handler::ReputationServer`]: the full request
 //!   dispatcher mapping protocol [`softrep_proto::Request`]s onto the
 //!   reputation database.
+//! * [`pseudonym_key`] — the §5 blind-signature key, made on first use
+//!   and kept in the store directory so credentials outlive a restart.
 //! * [`pool`] — a bounded worker pool: explicit admission control instead
 //!   of unbounded thread-per-connection spawning.
 //! * [`stats`] — transport counters (accepted / active / rejected /
@@ -43,6 +45,7 @@ pub mod epoll;
 pub mod flood;
 pub mod handler;
 pub mod pool;
+pub mod pseudonym_key;
 pub mod puzzle_gate;
 #[cfg(target_os = "linux")]
 pub mod reactor;

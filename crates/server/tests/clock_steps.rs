@@ -99,22 +99,23 @@ fn prune_under_steps_collects_exactly_the_dead() {
 // Puzzle gate
 // ---------------------------------------------------------------------
 
-/// The puzzle gate is deliberately clock-free: a challenge solved during
+/// Puzzle redemption is deliberately clock-free: a challenge solved during
 /// any clock turbulence redeems exactly once, and a replay is refused no
 /// matter where the clock has stepped meanwhile. No step mints a free
-/// (re-usable) registration token.
+/// (re-usable) registration token. Issue times feed only pruning, and a
+/// backward step prunes nothing early.
 #[test]
 fn puzzle_redemption_is_single_use_regardless_of_clock_steps() {
     let gate = PuzzleGate::new(4);
     let mut rng = rng();
 
-    let encoded = gate.issue(&mut rng);
+    let encoded = gate.issue(&mut rng, Timestamp(10_000));
     let challenge = Challenge::decode(&encoded).expect("issued challenge decodes");
     let (solution, _attempts) = challenge.solve();
 
-    // (Simulated clock steps happen here — the gate cannot observe them,
-    // which is the property under test: nothing in issue/redeem takes a
-    // timestamp that a step could exploit.)
+    // A backward step before redemption: pruning at the earlier time
+    // drops nothing, and redeem takes no timestamp a step could exploit.
+    assert_eq!(gate.prune(Timestamp(0)), 0);
     assert_eq!(gate.redeem(&encoded, solution.nonce), Ok(()));
     assert_eq!(
         gate.redeem(&encoded, solution.nonce),
@@ -125,7 +126,7 @@ fn puzzle_redemption_is_single_use_regardless_of_clock_steps() {
 
     // A wrong solution leaves the challenge retryable; the prior state is
     // not corrupted by the failed attempt.
-    let encoded2 = gate.issue(&mut rng);
+    let encoded2 = gate.issue(&mut rng, Timestamp(0));
     let challenge2 = Challenge::decode(&encoded2).expect("decodes");
     let (solution2, _) = challenge2.solve();
     assert_eq!(

@@ -128,7 +128,7 @@ fn flood_guard_never_overspends_last_token() {
 fn puzzle_redeem_is_exactly_once_under_races() {
     let stats = loom::model_with_stats(|| {
         let gate = Arc::new(PuzzleGate::new(4));
-        let encoded = gate.issue(&mut StdRng::seed_from_u64(7));
+        let encoded = gate.issue(&mut StdRng::seed_from_u64(7), Timestamp(0));
         let (solution, _) = Challenge::decode(&encoded).expect("decode issued").solve();
 
         // Two clients race to redeem the same solved challenge.

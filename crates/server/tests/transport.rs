@@ -14,9 +14,9 @@ use std::time::{Duration, Instant};
 
 use softrep_core::clock::SimClock;
 use softrep_core::db::ReputationDb;
+use softrep_core::model::MAX_BEHAVIOURS;
 use softrep_proto::framing::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 use softrep_proto::{Request, Response};
-use softrep_server::handler::MAX_REPORT_BEHAVIOURS;
 #[cfg(target_os = "linux")]
 use softrep_server::reactor::ReactorServer;
 use softrep_server::tcp::{FrontendServer, TcpClient, TcpServer, TcpServerConfig};
@@ -496,7 +496,7 @@ fn a_title_flooded_with_behaviour_names_still_gets_a_report() {
             .call(&Request::QuerySoftware { software_id: title.clone() })
             .unwrap_or_else(|e| panic!("{name}: the report got no answer: {e}"));
         let Response::Software(info) = resp else { panic!("{name}: {resp:?}") };
-        assert!(info.behaviours.len() <= MAX_REPORT_BEHAVIOURS, "{name}");
+        assert!(info.behaviours.len() <= MAX_BEHAVIOURS, "{name}");
         fe.shutdown();
     }
 }

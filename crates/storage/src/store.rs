@@ -552,6 +552,36 @@ impl Store {
         Ok(())
     }
 
+    /// Read the side file `name` from the store's directory: `None` when it
+    /// does not exist, and always `None` for an in-memory store.
+    ///
+    /// Side files hold node-local state such as a signing key. They are not
+    /// in any tree, so neither the WAL, snapshots, [`Store::export_snapshot`]
+    /// nor replication ever carries them.
+    pub fn read_local(&self, name: &str) -> StorageResult<Option<Vec<u8>>> {
+        match &self.dir {
+            Some(dir) => self.vfs.try_read(&dir.join(name)),
+            None => Ok(None),
+        }
+    }
+
+    /// Durably replace the side file `name` with `bytes`: write a temporary
+    /// file, fsync it, and rename it over `name`, the sequence compaction
+    /// uses for `SNAPSHOT`. A crash leaves the old file or the new one,
+    /// never a torn one. An in-memory store has no directory and keeps
+    /// nothing; its caller holds the bytes for the life of the process.
+    ///
+    /// `name` is a plain file name other than the store's own (`SNAPSHOT`,
+    /// `WAL`, `WAL.old` and their `.tmp` files).
+    pub fn write_local(&self, name: &str, bytes: &[u8]) -> StorageResult<()> {
+        let Some(dir) = &self.dir else { return Ok(()) };
+        let tmp = dir.join(format!("{name}.tmp"));
+        let f = self.vfs.create(&tmp)?;
+        f.append(bytes)?;
+        f.sync_data()?;
+        self.vfs.rename(&tmp, &dir.join(name))
+    }
+
     /// Current counters, snapshotted coherently: one commit-lock
     /// acquisition covers every write-side counter, so `batches_applied`
     /// can never disagree with `ops_since_compaction`.
@@ -798,6 +828,31 @@ mod tests {
         s.delete("users", b"alice".to_vec()).unwrap();
         assert!(s.get("users", b"alice").is_none());
         assert!(!s.contains("users", b"alice"));
+    }
+
+    #[test]
+    fn side_files_persist_outside_the_trees() {
+        let dir = tmpdir("side-files");
+        let s = Store::open(&dir).unwrap();
+        assert_eq!(s.read_local("KEY").unwrap(), None);
+        s.put("t", b"k".to_vec(), b"v".to_vec()).unwrap();
+        s.write_local("KEY", b"first").unwrap();
+        s.write_local("KEY", b"second").unwrap();
+        let (_, exported) = s.export_snapshot();
+        s.compact().unwrap();
+        drop(s);
+
+        let s = Store::open(&dir).unwrap();
+        assert_eq!(s.read_local("KEY").unwrap().as_deref(), Some(&b"second"[..]));
+        assert!(!dir.join("KEY.tmp").exists(), "the temporary file was renamed away");
+        let (trees, _) = Store::parse_snapshot(&exported).unwrap();
+        assert_eq!(trees.keys().collect::<Vec<_>>(), ["t"], "only trees are exported");
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+
+        let mem = Store::in_memory();
+        mem.write_local("KEY", b"kept by the caller").unwrap();
+        assert_eq!(mem.read_local("KEY").unwrap(), None);
     }
 
     #[test]

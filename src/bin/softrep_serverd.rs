@@ -39,6 +39,7 @@ use std::sync::Arc;
 use softwareputation::core::clock::SystemClock;
 use softwareputation::core::db::ReputationDb;
 use softwareputation::crypto::salted::SecretPepper;
+use softwareputation::server::pseudonym_key::KEY_FILE;
 use softwareputation::server::repl::ReplicaTail;
 use softwareputation::server::tcp::{FrontendServer, TcpServerConfig};
 use softwareputation::server::web::WebServer;
@@ -195,7 +196,14 @@ fn main() {
     }
     println!("  puzzles   difficulty {}", args.puzzle_difficulty);
     println!("  durability {:?}", args.durability);
-    println!("  pseudonym credentials: 1024-bit blind-signature key");
+    if args.replica_of.is_some() {
+        println!("  pseudonym credentials: refused on a replica; the primary holds the key");
+    } else {
+        println!(
+            "  pseudonym credentials: 1024-bit blind-signature key, made on first use, kept in {}",
+            std::path::Path::new(&args.data).join(KEY_FILE).display()
+        );
+    }
     let stats = server.db().deployment_stats();
     println!(
         "  database  {} users, {} software, {} votes",

@@ -12,9 +12,13 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use softwareputation::core::clock::Timestamp;
+use softwareputation::core::clock::{SimClock, Timestamp};
 use softwareputation::core::db::ReputationDb;
+use softwareputation::crypto::rsa::RsaKeypair;
 use softwareputation::crypto::salted::SecretPepper;
+use softwareputation::proto::{Request, Response};
+use softwareputation::server::pseudonym_key::KEY_FILE;
+use softwareputation::server::{ReputationServer, ServerConfig};
 use softwareputation::storage::failpoint::{self, FailAction};
 use softwareputation::storage::{
     durable_image_at, CrashStyle, DurabilityMode, Fault, SimVfs, Store, StoreOptions, VfsEvent,
@@ -26,7 +30,7 @@ mod crash;
 #[path = "support/tempdir.rs"]
 mod tempdir;
 
-use crash::{check_recovery, materialize, record_canonical_workload, site_label};
+use crash::{check_recovery, materialize, record_canonical_workload, site_label, Recording};
 use tempdir::TempDir;
 
 const STYLES: [CrashStyle; 3] =
@@ -201,6 +205,82 @@ fn assert_incremental_matches_full_at_every_site(log: &[VfsEvent], sites: usize)
             incremental, full,
             "site {k}/{sites}: incremental accumulators diverge from full reaggregation"
         );
+    }
+}
+
+/// The pseudonym key's side file across a crash (DESIGN.md §5 invariant
+/// 13). A server over a simulated store votes, makes its key on the first
+/// pseudonym request, then keeps writing and compacts. At every durable
+/// site and crash style, recovery sees no key file or the whole key, never
+/// a torn one; and once the key answered a request, it is there.
+#[test]
+fn pseudonym_key_file_is_whole_or_absent_at_every_site() {
+    let vfs = SimVfs::new();
+    let store = Store::open_with_vfs(
+        "/sim/crash-key",
+        StoreOptions { durability: DurabilityMode::Always, shards: 2 },
+        Arc::new(vfs.clone()),
+    )
+    .expect("open sim store");
+    let db = ReputationDb::new(Arc::new(store), SecretPepper::new("it-pepper"));
+    let config = ServerConfig {
+        puzzle_difficulty: 0,
+        pseudonym_key_bits: 256,
+        flood_capacity: u32::MAX,
+        flood_refill_per_hour: u32::MAX,
+        ..ServerConfig::default()
+    };
+    let server = ReputationServer::new(db, Arc::new(SimClock::new()), config.clone(), 5);
+    let mut rng = StdRng::seed_from_u64(42);
+    let register = |user: &str, rng: &mut StdRng| {
+        let db = server.db();
+        let token = db
+            .register_user(user, "pw", &format!("{user}@x.example"), Timestamp(0), rng)
+            .expect("register");
+        db.activate_user(user, &token).expect("activate");
+    };
+    register("alice", &mut rng);
+    let before_key = vfs.durable_site_count();
+    let Response::PseudonymKey { n, .. } = server.handle(&Request::GetPseudonymKey, "c") else {
+        panic!("the first pseudonym request makes the key")
+    };
+    let answered_at = vfs.durable_site_count();
+    assert!(answered_at > before_key, "the key write adds durable sites");
+    register("bob", &mut rng);
+    server.db().store().compact().expect("compact");
+    register("carol", &mut rng);
+    server.db().store().sync().expect("final sync");
+    drop(server);
+    let rec = Recording {
+        log: vfs.event_log(),
+        sites: vfs.durable_site_count(),
+        confirmed_at: Vec::new(),
+        total_batches: 0,
+    };
+
+    let dir = TempDir::new("crash-key");
+    for k in 0..=rec.sites {
+        for style in STYLES {
+            let label = site_label(&rec, k, style);
+            materialize(&durable_image_at(&rec.log, k, style), dir.path());
+            let store = Store::open(dir.path()).unwrap_or_else(|e| panic!("{label}: reopen: {e}"));
+            let Some(bytes) = store.read_local(KEY_FILE).expect("read key file") else {
+                assert!(k < answered_at, "{label}: the key that answered a request is lost");
+                continue;
+            };
+            let key = std::str::from_utf8(&bytes)
+                .ok()
+                .and_then(RsaKeypair::decode)
+                .unwrap_or_else(|| panic!("{label}: torn key file"));
+            assert_eq!(key.public_key().n.to_hex(), n, "{label}: a different key");
+            let db = ReputationDb::new(Arc::new(store), SecretPepper::new("it-pepper"));
+            let server = ReputationServer::new(db, Arc::new(SimClock::new()), config.clone(), 6);
+            let resp = server.handle(&Request::GetPseudonymKey, "c");
+            assert!(
+                matches!(resp, Response::PseudonymKey { n: ref got, .. } if *got == n),
+                "{label}: the recovered server answers {resp:?}"
+            );
+        }
     }
 }
 

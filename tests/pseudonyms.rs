@@ -13,6 +13,7 @@ use softwareputation::crypto::hex;
 use softwareputation::crypto::rsa::{BlindingSession, RsaPublicKey};
 use softwareputation::crypto::salted::SecretPepper;
 use softwareputation::proto::{Request, Response};
+use softwareputation::server::pseudonym_key::KEY_FILE;
 use softwareputation::server::{ReputationServer, ServerConfig};
 use softwareputation::storage::Store;
 
@@ -184,6 +185,7 @@ fn a_credential_drawn_before_a_restart_redeems_after_it() {
     let (token, signature) = {
         let server = server_on_disk(dir.path(), &clock, 1);
         let session = join(&server, "member");
+        assert!(!dir.path().join(KEY_FILE).exists(), "no start makes the key");
         draw_credential(&server, &session, 4)
     };
 
@@ -199,6 +201,41 @@ fn a_credential_drawn_before_a_restart_redeems_after_it() {
     );
     assert_eq!(resp, Response::Ok);
     assert!(server.db().user("after_restart").unwrap().unwrap().pseudonym);
+}
+
+/// A key file that does not decode makes every pseudonym endpoint answer
+/// `pseudonym-key-unavailable`. The server never replaces it with a new
+/// key, which would void every credential the old one signed.
+#[test]
+fn a_corrupt_key_file_is_an_error_not_a_new_key() {
+    let dir = TempDir::new("pseudonym-corrupt");
+    let clock = SimClock::new();
+    let key_path = dir.path().join(KEY_FILE);
+    fetch_key(&server_on_disk(dir.path(), &clock, 1));
+    let mut bytes = std::fs::read(&key_path).expect("the first request wrote the key");
+    bytes.truncate(bytes.len() / 2);
+    std::fs::write(&key_path, &bytes).unwrap();
+
+    let server = server_on_disk(dir.path(), &clock, 1);
+    let session = join(&server, "member");
+    for request in [
+        Request::GetPseudonymKey,
+        Request::BlindSignPseudonym { session, blinded: "abcd".into() },
+        Request::RegisterPseudonym {
+            username: "nym".into(),
+            password: "pw".into(),
+            token: "00ff".into(),
+            signature: "1234".into(),
+        },
+    ] {
+        let resp = server.handle(&request, "c");
+        assert!(
+            matches!(resp, Response::Error { ref code, .. } if code == "pseudonym-key-unavailable"),
+            "{request:?} answered {resp:?}"
+        );
+    }
+    assert_eq!(std::fs::read(&key_path).unwrap(), bytes, "the key file is left as it was");
+    assert!(!server.db().user("member").unwrap().unwrap().pseudonym_credential_issued);
 }
 
 #[test]

@@ -107,13 +107,18 @@ pub fn gen_workload(rng: &mut SplitMix64, len: usize) -> Vec<Op> {
                 title: rng.below(TITLES as u64) as usize,
                 score: (rng.below(10) + 1) as u8,
                 behaviours: {
+                    // Up to two draws; a repeated draw is dropped, because a
+                    // vote names each behaviour at most once.
                     let n = rng.below(3) as usize;
-                    (0..n)
-                        .map(|_| {
-                            behaviours_pool[rng.below(behaviours_pool.len() as u64) as usize]
-                                .to_string()
-                        })
-                        .collect()
+                    let mut names: Vec<String> = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        let name =
+                            behaviours_pool[rng.below(behaviours_pool.len() as u64) as usize];
+                        if !names.iter().any(|b| b == name) {
+                            names.push(name.to_string());
+                        }
+                    }
+                    names
                 },
             },
             40..=54 => {
