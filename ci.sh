@@ -46,14 +46,17 @@
 #  11. /metrics endpoint smoke      boots the release serverd on
 #                                   ephemeral ports and asserts the
 #                                   Prometheus exposition is well formed
-#                                   and carries the key series
+#                                   and carries the key series; then
+#                                   restarts it and asserts the pseudonym
+#                                   key outlives the restart
 #  12. replication shard           the WAL-shipping differential suite
 #                                   (fault proxy + replica restart →
 #                                   byte-identical stores), a randomized
 #                                   run of the gapless-prefix property,
 #                                   and a binary-level primary+2-replica
 #                                   topology probed over real sockets
-#                                   (not-primary redirects, repl metrics)
+#                                   (not-primary redirects, repl metrics,
+#                                   no pseudonym key on a replica)
 #  13. ThreadSanitizer shard        opt-in: CI_TSAN=1 and a nightly
 #                                   toolchain; skipped otherwise
 #
@@ -64,6 +67,24 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 step() { printf '\n==== %s ====\n' "$*"; }
+
+# One framed protocol round trip: u32 BE length + UTF-8 XML, by hand.
+proto_call() { # addr, xml-body → response body on stdout
+    local addr="$1" body="$2" len b0 b1 b2 b3 rlen
+    len=${#body}
+    exec 4<>"/dev/tcp/${addr%:*}/${addr##*:}"
+    printf "$(printf '\\%03o\\%03o\\%03o\\%03o' \
+        $((len >> 24 & 255)) $((len >> 16 & 255)) $((len >> 8 & 255)) $((len & 255)))" >&4
+    printf '%s' "$body" >&4
+    # dd bs=1 reads exactly N bytes from the socket; head -c may over-read
+    # into its stdio buffer and eat the start of the body.
+    read -r b0 b1 b2 b3 <<<"$(dd bs=1 count=4 2>/dev/null <&4 | od -An -tu1 | tr -s ' ')" || true
+    rlen=$((b0 * 16777216 + b1 * 65536 + b2 * 256 + b3))
+    [ "$rlen" -gt 0 ] && [ "$rlen" -le 1048576 ] || {
+        echo "bogus response frame length $rlen from $addr" >&2; exit 1; }
+    dd bs=1 count="$rlen" 2>/dev/null <&4
+    exec 4<&- 4>&-
+}
 
 step "1/13 cargo fmt --check"
 cargo fmt --all -- --check
@@ -142,21 +163,27 @@ step "11/13 /metrics endpoint smoke"
 # and carries the key series (DESIGN.md §12). Uses the release binary
 # from step 4.
 SMOKE_DATA="$(mktemp -d)"
-./target/release/softrep-serverd --data "$SMOKE_DATA" --pepper ci-smoke \
-    --puzzle-difficulty 0 --proto 127.0.0.1:0 --web 127.0.0.1:0 \
-    >"$SMOKE_DATA/serverd.log" 2>&1 &
-SMOKE_PID=$!
-cleanup_smoke() { kill "$SMOKE_PID" 2>/dev/null || true; rm -rf "$SMOKE_DATA"; }
+SMOKE_LOGS="$(mktemp -d)"
+SMOKE_PID=""
+cleanup_smoke() { kill "$SMOKE_PID" 2>/dev/null || true; rm -rf "$SMOKE_DATA" "$SMOKE_LOGS"; }
 trap cleanup_smoke EXIT
-WEB_ADDR=""
-for _ in $(seq 1 50); do
-    WEB_ADDR="$(sed -n 's#.*web       http://##p' "$SMOKE_DATA/serverd.log" | head -n1)"
-    [ -n "$WEB_ADDR" ] && break
-    sleep 0.2
-done
-[ -n "$WEB_ADDR" ] || {
-    echo "serverd never announced its web address:"
-    cat "$SMOKE_DATA/serverd.log"; exit 1; }
+boot_smoke() { # log name; sets SMOKE_PID, PROTO_ADDR and WEB_ADDR
+    local log="$SMOKE_LOGS/$1"
+    ./target/release/softrep-serverd --data "$SMOKE_DATA" --pepper ci-smoke \
+        --puzzle-difficulty 0 --proto 127.0.0.1:0 --web 127.0.0.1:0 >"$log" 2>&1 &
+    SMOKE_PID=$!
+    WEB_ADDR=""
+    for _ in $(seq 1 50); do
+        WEB_ADDR="$(sed -n 's#.*web       http://##p' "$log" | head -n1)"
+        [ -n "$WEB_ADDR" ] && break
+        sleep 0.2
+    done
+    [ -n "$WEB_ADDR" ] || {
+        echo "serverd never announced its web address:"
+        cat "$log"; exit 1; }
+    PROTO_ADDR="$(sed -n 's#.*protocol  ##p' "$log" | head -n1)"
+}
+boot_smoke first.log
 exec 3<>"/dev/tcp/${WEB_ADDR%:*}/${WEB_ADDR##*:}"
 printf 'GET /metrics HTTP/1.1\r\nHost: %s\r\n\r\n' "$WEB_ADDR" >&3
 METRICS="$(cat <&3)"
@@ -190,9 +217,22 @@ printf '%s\n' "$METRICS" | sed '1,/^\r*$/d' | tr -d '\r' | awk '
     NF != 2 || $2 !~ /^[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$/ {
         print "malformed exposition line: " $0; bad = 1 }
     END { exit bad }' || exit 1
+# The pseudonym key is made by the first pseudonym request and kept in the
+# data directory (DESIGN.md §5 invariant 13): a serverd restarted on the
+# same directory answers with the same modulus.
+GET_KEY='<?xml version="1.0" encoding="UTF-8"?><request type="get-pseudonym-key"/>'
+key_modulus() { proto_call "$PROTO_ADDR" "$GET_KEY" | sed -n 's#.*<n>\([0-9a-f]*\)</n>.*#\1#p'; }
+MODULUS="$(key_modulus)"
+[ -n "$MODULUS" ] && [ -f "$SMOKE_DATA/PSEUDONYM_KEY" ] || {
+    echo "get-pseudonym-key made no key: '$MODULUS'"; exit 1; }
+kill "$SMOKE_PID"
+wait "$SMOKE_PID" 2>/dev/null || true
+boot_smoke restarted.log
+[ "$(key_modulus)" = "$MODULUS" ] || {
+    echo "the pseudonym key changed across a restart"; exit 1; }
 cleanup_smoke
 trap - EXIT
-echo "/metrics smoke passed ($WEB_ADDR)"
+echo "/metrics smoke passed ($WEB_ADDR); the pseudonym key survived a restart"
 
 step "12/13 replication shard (fault sweep + primary/2-replica topology)"
 # Half one: the in-process differential suite — 10k mixed writes through
@@ -240,37 +280,29 @@ serverd_addr() { # name, column (protocol|web)
     printf '%s' "$addr"
 }
 
-# One framed protocol round trip: u32 BE length + UTF-8 XML, by hand.
-proto_call() { # addr, xml-body → response body on stdout
-    local addr="$1" body="$2" len b0 b1 b2 b3 rlen
-    len=${#body}
-    exec 4<>"/dev/tcp/${addr%:*}/${addr##*:}"
-    printf "$(printf '\\%03o\\%03o\\%03o\\%03o' \
-        $((len >> 24 & 255)) $((len >> 16 & 255)) $((len >> 8 & 255)) $((len & 255)))" >&4
-    printf '%s' "$body" >&4
-    # dd bs=1 reads exactly N bytes from the socket; head -c may over-read
-    # into its stdio buffer and eat the start of the body.
-    read -r b0 b1 b2 b3 <<<"$(dd bs=1 count=4 2>/dev/null <&4 | od -An -tu1 | tr -s ' ')" || true
-    rlen=$((b0 * 16777216 + b1 * 65536 + b2 * 256 + b3))
-    [ "$rlen" -gt 0 ] && [ "$rlen" -le 1048576 ] || {
-        echo "bogus response frame length $rlen from $addr" >&2; exit 1; }
-    dd bs=1 count="$rlen" 2>/dev/null <&4
-    exec 4<&- 4>&-
-}
-
 GET_PUZZLE='<?xml version="1.0" encoding="UTF-8"?><request type="get-puzzle"/>'
 boot_serverd primary
 PRIMARY_PROTO="$(serverd_addr primary protocol)"
 boot_serverd replica1 --replica-of "$PRIMARY_PROTO"
 boot_serverd replica2 --replica-of "$PRIMARY_PROTO"
 
+GET_KEY='<?xml version="1.0" encoding="UTF-8"?><request type="get-pseudonym-key"/>'
 proto_call "$PRIMARY_PROTO" "$GET_PUZZLE" | grep -q 'status="puzzle"' || {
     echo "primary did not serve the write path"; exit 1; }
+proto_call "$PRIMARY_PROTO" "$GET_KEY" | grep -q 'status="pseudonym-key"' || {
+    echo "primary did not serve its pseudonym key"; exit 1; }
+[ -f "$REPL_DATA/primary/PSEUDONYM_KEY" ] || { echo "primary kept no key file"; exit 1; }
 for name in replica1 replica2; do
     RADDR="$(serverd_addr "$name" protocol)"
     RESP="$(proto_call "$RADDR" "$GET_PUZZLE")"
     printf '%s' "$RESP" | grep -q 'status="not-primary"' || {
         echo "$name did not redirect the write path: $RESP"; exit 1; }
+    proto_call "$RADDR" "$GET_KEY" | grep -q 'status="not-primary"' || {
+        echo "$name did not redirect the pseudonym key request"; exit 1; }
+    # The key is node-local: neither replication nor a request puts it on
+    # a replica (DESIGN.md §5 invariant 13).
+    [ ! -e "$REPL_DATA/$name/PSEUDONYM_KEY" ] || {
+        echo "$name's data directory holds a pseudonym key file"; exit 1; }
     printf '%s' "$RESP" | grep -qF "$PRIMARY_PROTO" || {
         echo "$name's redirect does not name the primary: $RESP"; exit 1; }
     RWEB="$(serverd_addr "$name" web)"
