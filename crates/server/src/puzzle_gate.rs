@@ -9,8 +9,8 @@
 //!
 //! The set of outstanding challenges is bounded: each challenge records
 //! when it was issued, [`PuzzleGate::prune`] (run on every server tick)
-//! drops those older than the gate's time to live, and issuing past the
-//! capacity evicts the oldest. Redemption itself takes no timestamp, so a
+//! drops those older than [`CHALLENGE_TTL_SECS`], and issuing past
+//! [`MAX_OUTSTANDING`] evicts the oldest. Redemption itself takes no timestamp, so a
 //! clock step can expire a challenge early but never reopen a redeemed one.
 
 use std::collections::{HashSet, VecDeque};
@@ -86,8 +86,8 @@ impl PuzzleGate {
     }
 
     /// Drop every challenge issued at least [`CHALLENGE_TTL_SECS`] before
-    /// `now`; returns how many unredeemed ones went. A clock stepped backwards
-    /// expires nothing early.
+    /// `now`; returns how many unredeemed ones went. A clock stepped
+    /// backwards expires nothing early.
     pub fn prune(&self, now: Timestamp) -> usize {
         let mut outstanding = self.outstanding.lock();
         let mut dropped = 0;
