@@ -51,8 +51,10 @@
 #                                   key outlives the restart
 #  12. replication shard           the WAL-shipping differential suite
 #                                   (fault proxy + replica restart →
-#                                   byte-identical stores), a randomized
-#                                   run of the gapless-prefix property,
+#                                   byte-identical stores), randomized
+#                                   runs of the gapless-prefix property
+#                                   and of the indexed page read against
+#                                   its full-scan oracle (seeds echoed),
 #                                   and a binary-level primary+2-replica
 #                                   topology probed over real sockets
 #                                   (not-primary redirects, repl metrics,
@@ -237,13 +239,21 @@ echo "/metrics smoke passed ($WEB_ADDR); the pseudonym key survived a restart"
 step "12/13 replication shard (fault sweep + primary/2-replica topology)"
 # Half one: the in-process differential suite — 10k mixed writes through
 # a byte-cutting fault proxy plus a replica restart must converge to
-# byte-identical stores (DESIGN.md §15) — and a randomized-seed run of
-# the gapless-prefix property (the fixed-seed run is in step 6).
+# byte-identical stores (DESIGN.md §15) — and randomized-seed runs of
+# the gapless-prefix property (the fixed-seed run is in step 6) and of
+# the indexed replication read against its full-scan oracle (the
+# fixed-seed run is in step 5). Each seed is echoed here and named in
+# every assertion message, so a failure replays with
+# SOFTREP_PROP_SEED=<seed> SOFTREP_PROP_CASES=1.
 cargo test --offline -q -p softrep-server --test repl
 REPL_SEED="$(date +%s)"
 printf 'replication property randomized seed: %s\n' "$REPL_SEED"
 SOFTREP_PROP_SEED="$REPL_SEED" SOFTREP_PROP_CASES=40 \
     cargo test --offline -q --test properties replica_watermark
+INDEX_SEED="$(date +%s)"
+printf 'replication index differential randomized seed: %s\n' "$INDEX_SEED"
+SOFTREP_PROP_SEED="$INDEX_SEED" SOFTREP_PROP_CASES=4 \
+    cargo test --offline -q --test replication_index
 
 # Half two: the release binary in both roles. Boot a primary and two
 # replicas on ephemeral ports, then assert over the real sockets that

@@ -354,8 +354,8 @@ fn run_session(
                 let caught_up = entries.is_empty();
                 let mut applied_any = false;
                 let mut gap = false;
-                for entry in &entries {
-                    let entry = ReplEntry { seq: entry.seq, batch: entry.batch.clone() };
+                for entry in entries {
+                    let entry = ReplEntry { seq: entry.seq, batch: entry.batch };
                     match replication::apply_replicated(&store, &entry) {
                         Ok(()) => applied_any = true,
                         Err(_) => {

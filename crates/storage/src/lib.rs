@@ -15,6 +15,8 @@
 //!   truncation on replay.
 //! * `shard` (crate-private) — the lock-striped tree map behind the
 //!   store's read path.
+//! * `log_index` (crate-private) — the sparse sequence → offset index over
+//!   the live log files that lets a replication read fetch only its page.
 //! * [`commit`] — durability modes and the group-commit ledger that lets
 //!   concurrent writers share one fsync.
 //! * [`vfs`] — the filesystem abstraction every durable effect routes
@@ -52,6 +54,7 @@ pub mod crc;
 pub mod error;
 pub mod failpoint;
 pub mod index;
+pub(crate) mod log_index;
 pub mod replication;
 pub(crate) mod shard;
 pub mod store;

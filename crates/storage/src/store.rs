@@ -35,10 +35,11 @@ use crate::codec::{Decode, Encode, Reader, Writer};
 use crate::commit::{CommitLedger, DurabilityMode, StoreOptions};
 use crate::crc::crc32;
 use crate::error::{StorageError, StorageResult};
-use crate::replication::{ReplEntry, ReplRead};
+use crate::log_index::{self, FileIndex, LogIndex};
+use crate::replication::ReplRead;
 use crate::shard::{ShardSet, Tree};
 use crate::vfs::{self, Vfs};
-use crate::wal::Wal;
+use crate::wal::{self, Frames, Scan, Wal};
 
 /// A tree (keyspace) name. Plain `&str` newtype used to make call sites
 /// self-documenting.
@@ -51,11 +52,13 @@ impl std::fmt::Display for TreeName {
     }
 }
 
-/// Everything guarded by the commit mutex: the WAL handle, the group
-/// commit ledger, and the write counters (folded in here so `stats` can
-/// snapshot them coherently in one acquisition).
+/// Everything guarded by the commit mutex: the WAL handle, the sparse
+/// sequence index over the live log files, the group commit ledger, and
+/// the write counters (folded in here so `stats` can snapshot them
+/// coherently in one acquisition).
 struct CommitState {
     wal: Option<Wal>,
+    log_index: LogIndex,
     ledger: CommitLedger,
     batches_applied: u64,
     ops_since_compaction: u64,
@@ -216,45 +219,38 @@ impl Store {
 
         let (mut trees, snapshot_seq) = Self::load_snapshot(&*vfs, &dir.join(SNAPSHOT_FILE))?;
         let had_rotation = vfs.exists(&wal_old_path);
+        // Every frame carries its commit sequence number; the chain across
+        // WAL.old and WAL must be gapless or a batch went missing.
+        let mut prev_seq: Option<u64> = None;
+        let mut log_index = LogIndex::default();
         let mut old_torn = false;
-        let mut payloads: Vec<Vec<u8>> = Vec::new();
         if had_rotation {
-            let outcome = Wal::replay_with_outcome_on(&*vfs, &wal_old_path)?;
-            old_torn = outcome.torn;
-            payloads = outcome.entries;
+            let mut index = FileIndex::default();
+            let scan =
+                Self::replay_log(&*vfs, &wal_old_path, &mut trees, &mut prev_seq, &mut index)?;
+            if scan.torn {
+                wal::truncate_tail(&*vfs, &wal_old_path, scan.valid_len)?;
+            }
+            old_torn = scan.torn;
+            log_index.old = Some(index);
         }
-        if old_torn {
+        let wal_scan = if old_torn {
             // The rotated log died mid-append. Every frame in the newer
             // WAL postdates the tear, so replaying it would apply batches
             // over a gap; drop it to preserve the any-prefix invariant.
             vfs.write(&wal_path, &[])?;
+            Scan::default()
         } else {
-            payloads.extend(Wal::replay_with_outcome_on(&*vfs, &wal_path)?.entries);
-        }
-        // Every frame carries its commit sequence number; the chain across
-        // WAL.old and WAL must be gapless or a batch went missing. Frames
-        // at or below the snapshot's covered sequence replay idempotently
-        // (puts and deletes set absolute per-key state).
-        let mut prev_seq: Option<u64> = None;
-        for payload in &payloads {
-            let (seq, batch) = Self::decode_wal_entry(payload)?;
-            if let Some(prev) = prev_seq {
-                if seq != prev + 1 {
-                    return Err(StorageError::Corrupt(format!(
-                        "WAL sequence gap: frame {seq} follows frame {prev}"
-                    )));
-                }
-            }
-            prev_seq = Some(seq);
-            Self::apply_to_trees(&mut trees, &batch);
-        }
+            Self::replay_log(&*vfs, &wal_path, &mut trees, &mut prev_seq, &mut log_index.cur)?
+        };
         let recovered_seq = prev_seq.unwrap_or(0).max(snapshot_seq);
 
-        let wal = Wal::open_on(&*vfs, &wal_path)?;
+        let wal = Wal::open_scanned(&*vfs, wal_path, wal_scan)?;
         let store = Store {
             shards: ShardSet::new(options.shards, trees),
             commit: Mutex::new(CommitState {
                 wal: Some(wal),
+                log_index,
                 ledger: CommitLedger::starting_at(recovered_seq),
                 batches_applied: 0,
                 ops_since_compaction: 0,
@@ -276,6 +272,39 @@ impl Store {
         Ok(store)
     }
 
+    /// Replay the log file at `path` into `trees` with one read and one
+    /// walk: decode each valid frame, check its sequence continues the
+    /// chain in `prev_seq`, apply it, and index its offset. Frames at or
+    /// below the snapshot's covered sequence replay idempotently (puts and
+    /// deletes set absolute per-key state). The file is left as found; the
+    /// returned scan says where its valid prefix ends.
+    fn replay_log(
+        vfs: &dyn Vfs,
+        path: &Path,
+        trees: &mut BTreeMap<String, Tree>,
+        prev_seq: &mut Option<u64>,
+        index: &mut FileIndex,
+    ) -> StorageResult<Scan> {
+        let raw = vfs.try_read(path)?.unwrap_or_default();
+        let mut frames = Frames::new(&raw);
+        let mut count = 0;
+        for (offset, payload) in frames.by_ref() {
+            let (seq, batch) = Self::decode_wal_entry(payload)?;
+            if let Some(prev) = *prev_seq {
+                if seq != prev + 1 {
+                    return Err(StorageError::Corrupt(format!(
+                        "WAL sequence gap: frame {seq} follows frame {prev}"
+                    )));
+                }
+            }
+            *prev_seq = Some(seq);
+            Self::apply_to_trees(trees, &batch);
+            index.push(seq, offset, 8 + payload.len() as u64);
+            count += 1;
+        }
+        Ok(frames.outcome(count))
+    }
+
     /// Open a volatile store with no disk backing. API-identical to a
     /// durable store; used by the agent simulations.
     pub fn in_memory() -> Self {
@@ -288,6 +317,7 @@ impl Store {
             shards: ShardSet::new(options.shards, BTreeMap::new()),
             commit: Mutex::new(CommitState {
                 wal: None,
+                log_index: LogIndex::default(),
                 ledger: CommitLedger::new(),
                 batches_applied: 0,
                 ops_since_compaction: 0,
@@ -325,17 +355,20 @@ impl Store {
             None
         };
         let (seq, sync_now) = {
-            let mut commit = self.commit.lock();
+            let mut guard = self.commit.lock();
+            let commit = &mut *guard;
             let next_seq = commit.ledger.appended_seq() + 1;
             if let (Some(wal), Some(payload)) = (commit.wal.as_mut(), payload.as_deref_mut()) {
                 if let Some(slot) = payload.get_mut(..8) {
                     slot.copy_from_slice(&next_seq.to_le_bytes());
                 }
+                let offset = wal.len_bytes();
                 wal.append(payload)?;
                 if matches!(self.durability, DurabilityMode::Os) {
                     // lint: allow(guard-io, "Os mode hands frames to the kernel inside the commit lock so append order equals WAL order; no fsync happens here")
                     wal.flush()?;
                 }
+                commit.log_index.cur.push(next_seq, offset, 8 + payload.len() as u64);
             }
             let bytes = payload.as_ref().map_or(0, |p| 8 + p.len() as u64);
             let seq = commit.ledger.record_append(bytes);
@@ -523,6 +556,9 @@ impl Store {
             if !resume {
                 commit.wal = None; // close the handle before renaming
                 let renamed = self.vfs.rename(&dir.join(WAL_FILE), &wal_old);
+                if renamed.is_ok() {
+                    commit.log_index.rotate();
+                }
                 // Reopen before propagating: on rename failure this
                 // reopens the same log and the store stays serviceable.
                 commit.wal = Some(Wal::open_on(&*self.vfs, dir.join(WAL_FILE))?);
@@ -549,6 +585,7 @@ impl Store {
         if self.vfs.exists(&wal_old) {
             self.vfs.remove_file(&wal_old)?;
         }
+        self.commit.lock().log_index.old = None;
         Ok(())
     }
 
@@ -681,18 +718,9 @@ impl Store {
     /// Split a WAL payload into its embedded commit sequence number and
     /// the batch it journals.
     fn decode_wal_entry(payload: &[u8]) -> StorageResult<(u64, WriteBatch)> {
-        let seq = Self::wal_entry_seq(payload)?;
+        let seq = log_index::entry_seq(payload)?;
         let batch = WriteBatch::decode_from_bytes(payload.get(8..).unwrap_or_default())?;
         Ok((seq, batch))
-    }
-
-    /// The commit sequence number embedded in a WAL payload, without
-    /// decoding the batch body.
-    fn wal_entry_seq(payload: &[u8]) -> StorageResult<u64> {
-        let bytes: [u8; 8] = payload.get(..8).and_then(|s| s.try_into().ok()).ok_or_else(|| {
-            StorageError::Corrupt("WAL entry shorter than its sequence header".into())
-        })?;
-        Ok(u64::from_le_bytes(bytes))
     }
 
     /// Newest committed sequence number (0 before the first commit).
@@ -741,6 +769,11 @@ impl Store {
     /// so a primary that crashed and lost an unsynced suffix can never
     /// ship batches it no longer has — the replica instead observes the
     /// regressed `committed_seq` and resyncs.
+    ///
+    /// The read costs O(page), not O(log): the sparse sequence index
+    /// ([`crate::log_index`]) names the byte offset to start from, and
+    /// only the page's frames (plus fewer than 64 before it) are read and
+    /// CRC-checked. `backlog_bytes` comes from the index's offsets.
     pub fn replication_read(
         &self,
         from_seq: u64,
@@ -750,61 +783,30 @@ impl Store {
         let Some(dir) = self.dir.as_ref() else {
             return Err(StorageError::Unsupported("replication reads need a WAL-backed store"));
         };
-        let max_entries = max_entries.max(1);
         // Hold the compaction lock across the whole read: rotation moves
         // frames between WAL and WAL.old, and retiring WAL.old would pull
-        // a file out from under us mid-scan.
+        // a file out from under us mid-read.
         let _compaction = self.compaction.lock();
-        let committed_seq = {
+        let (committed_seq, cut) = {
             let mut commit = self.commit.lock();
             if let Some(wal) = commit.wal.as_mut() {
                 // lint: allow(guard-io, "buffered flush only, so the file covers every committed frame; same commit-lock cost the Os durability path already pays")
                 wal.flush()?;
             }
-            commit.ledger.appended_seq()
+            (commit.ledger.appended_seq(), commit.log_index.cut(from_seq.saturating_add(1)))
         };
         if from_seq >= committed_seq {
             return Ok(ReplRead::Entries { entries: Vec::new(), committed_seq, backlog_bytes: 0 });
         }
-        let mut entries = Vec::new();
-        let mut taken_bytes = 0usize;
-        let mut backlog_bytes = 0u64;
-        let mut full = false;
-        for name in [WAL_OLD_FILE, WAL_FILE] {
-            let Some(raw) = self.vfs.try_read(&dir.join(name))? else { continue };
-            for payload in crate::wal::valid_frames(&raw) {
-                let seq = Self::wal_entry_seq(payload)?;
-                if seq <= from_seq || seq > committed_seq {
-                    // Below: already applied by the subscriber. Above: a
-                    // frame appended after our committed cut was taken.
-                    continue;
-                }
-                let batch = payload.get(8..).unwrap_or_default();
-                // End the page before an entry that would take it past
-                // `max_bytes`, unless the page is still empty: an entry
-                // larger than the cap travels alone.
-                if entries.len() >= max_entries
-                    || (!entries.is_empty() && taken_bytes + batch.len() > max_bytes)
-                {
-                    full = true;
-                }
-                if full {
-                    backlog_bytes += batch.len() as u64;
-                    continue;
-                }
-                taken_bytes += batch.len();
-                entries.push(ReplEntry { seq, batch: batch.to_vec() });
-            }
-        }
-        match entries.first() {
-            Some(first) if first.seq == from_seq + 1 => {
-                Ok(ReplRead::Entries { entries, committed_seq, backlog_bytes })
-            }
-            // Either the suffix after `from_seq` was compacted away
-            // entirely, or its head was — both mean the log can no longer
-            // serve a gapless continuation.
-            _ => Ok(ReplRead::SnapshotNeeded { committed_seq }),
-        }
+        log_index::read_page(
+            &*self.vfs,
+            [&dir.join(WAL_OLD_FILE), &dir.join(WAL_FILE)],
+            &cut,
+            from_seq,
+            max_entries.max(1),
+            max_bytes,
+            committed_seq,
+        )
     }
 }
 

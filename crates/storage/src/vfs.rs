@@ -26,7 +26,7 @@
 //! |----------------|-----------------------------------|---------------------------|
 //! | `vfs.open`     | open-or-create for append         | —                         |
 //! | `vfs.create`   | create/truncate a file            | —                         |
-//! | `vfs.read`     | whole-file reads                  | —                         |
+//! | `vfs.read`     | whole-file and ranged reads       | —                         |
 //! | `vfs.write`    | whole-file replace                | prefix persists, then EIO |
 //! | `vfs.append`   | append to an open handle          | prefix persists, then EIO |
 //! | `vfs.sync`     | `sync_data` on an open handle     | short fsync: half the pending delta becomes durable, then EIO |
@@ -40,7 +40,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -58,8 +58,6 @@ pub trait VfsFile: Send + Sync {
     fn sync_data(&self) -> StorageResult<()>;
     /// Truncate (or zero-extend) to exactly `len` bytes.
     fn set_len(&self, len: u64) -> StorageResult<()>;
-    /// Read the entire current contents.
-    fn read_all(&self) -> StorageResult<Vec<u8>>;
 }
 
 /// The filesystem surface the storage engine needs — nothing more.
@@ -70,6 +68,9 @@ pub trait Vfs: Send + Sync {
     fn create(&self, path: &Path) -> StorageResult<Arc<dyn VfsFile>>;
     /// Read the whole file, or `None` when it does not exist.
     fn try_read(&self, path: &Path) -> StorageResult<Option<Vec<u8>>>;
+    /// Read exactly `len` bytes of `path` starting at byte `offset`; a
+    /// range that runs past the end of the file is an error.
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> StorageResult<Vec<u8>>;
     /// Replace the contents of `path` with `data` (no implicit fsync).
     fn write(&self, path: &Path, data: &[u8]) -> StorageResult<()>;
     /// Atomically rename `from` to `to`.
@@ -148,15 +149,6 @@ impl VfsFile for RealFile {
         self.file.set_len(len)?;
         Ok(())
     }
-
-    fn read_all(&self) -> StorageResult<Vec<u8>> {
-        real_fail("vfs.read", &self.path)?;
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(0))?;
-        let mut raw = Vec::new();
-        file.read_to_end(&mut raw)?;
-        Ok(raw)
-    }
 }
 
 impl Vfs for RealVfs {
@@ -179,6 +171,22 @@ impl Vfs for RealVfs {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
+    }
+
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
+        real_fail("vfs.read", path)?;
+        let file = File::open(path)?;
+        let mut buf = vec![0u8; len];
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(&file, &mut buf, offset)?;
+        #[cfg(not(unix))]
+        {
+            use std::io::{Read, Seek, SeekFrom};
+            let mut file = &file;
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(&mut buf)?;
+        }
+        Ok(buf)
     }
 
     fn write(&self, path: &Path, data: &[u8]) -> StorageResult<()> {
@@ -568,13 +576,6 @@ impl VfsFile for SimFile {
         state.record(VfsEvent::SetLen { path: self.path.clone(), len });
         Ok(())
     }
-
-    fn read_all(&self) -> StorageResult<Vec<u8>> {
-        if self.fail("vfs.read").is_some() {
-            return Err(injected("vfs.read", &self.path));
-        }
-        Ok(self.state.lock().visible.get(&self.path).cloned().unwrap_or_default())
-    }
 }
 
 impl Vfs for SimVfs {
@@ -613,6 +614,24 @@ impl Vfs for SimVfs {
             return Err(injected("vfs.read", path));
         }
         Ok(self.state.lock().visible.get(path).cloned())
+    }
+
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
+        if self.fail("vfs.read", path).is_some() {
+            return Err(injected("vfs.read", path));
+        }
+        let state = self.state.lock();
+        let range = usize::try_from(offset)
+            .ok()
+            .and_then(|start| Some(start..start.checked_add(len)?))
+            .and_then(|range| state.visible.get(path)?.get(range));
+        match range {
+            Some(bytes) => Ok(bytes.to_vec()),
+            None => Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!("sim read of {len}B at {offset} past the end of {}", path.display()),
+            ))),
+        }
     }
 
     fn write(&self, path: &Path, data: &[u8]) -> StorageResult<()> {
@@ -818,6 +837,33 @@ mod tests {
         assert!(f.sync_data().is_err());
         assert_eq!(vfs.durable_image().get(&p("WAL")).unwrap(), b"baseABCD");
         assert_eq!(vfs.durable_site_count(), 2, "a short fsync is still a durable site");
+    }
+
+    #[test]
+    fn ranged_reads_slice_the_visible_image_behind_the_read_failpoint() {
+        let vfs = SimVfs::new();
+        let f = vfs.open_append(&p("WAL")).unwrap();
+        f.append(b"0123456789").unwrap();
+        assert_eq!(vfs.read_range(&p("WAL"), 3, 4).unwrap(), b"3456");
+        assert_eq!(vfs.read_range(&p("WAL"), 10, 0).unwrap(), b"");
+        assert!(vfs.read_range(&p("WAL"), 8, 3).is_err(), "a range past the end");
+        assert!(vfs.read_range(&p("missing"), 0, 1).is_err());
+        vfs.failpoints().set("vfs.read", FailAction::Nth(Fault::Err, 1));
+        assert!(matches!(vfs.read_range(&p("WAL"), 0, 1), Err(StorageError::Io(_))));
+        assert_eq!(vfs.read_range(&p("WAL"), 0, 1).unwrap(), b"0");
+    }
+
+    #[test]
+    fn real_ranged_reads_match_the_file() {
+        let dir = std::env::temp_dir().join(format!("softrep-vfs-range-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("WAL");
+        std::fs::write(&path, b"0123456789").unwrap();
+        let vfs = RealVfs::new();
+        assert_eq!(vfs.read_range(&path, 3, 4).unwrap(), b"3456");
+        assert!(vfs.read_range(&path, 8, 3).is_err(), "a range past the end");
+        assert!(vfs.read_range(&dir.join("missing"), 0, 1).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -78,19 +78,28 @@ impl Wal {
     /// [`Wal::open`] against an explicit [`Vfs`] (fault-injection entry).
     pub fn open_on(vfs: &dyn Vfs, path: impl Into<PathBuf>) -> StorageResult<Self> {
         let path = path.into();
+        let raw = vfs.try_read(&path)?.unwrap_or_default();
+        let mut frames = Frames::new(&raw);
+        let count = frames.by_ref().count() as u64;
+        Self::open_scanned(vfs, path, frames.outcome(count))
+    }
+
+    /// Open the log at `path` for appending when the caller has already
+    /// read and walked its image, as the store's recovery does: `scan`
+    /// says what the walk found, so the file is not read again. A torn
+    /// tail is truncated here.
+    pub(crate) fn open_scanned(vfs: &dyn Vfs, path: PathBuf, scan: Scan) -> StorageResult<Self> {
         let file = vfs.open_append(&path)?;
-        let raw = file.read_all()?;
-        let scan = scan_frames(&raw);
-        if scan.valid_len < raw.len() {
-            file.set_len(scan.valid_len as u64)?;
+        if scan.torn {
+            file.set_len(scan.valid_len)?;
             file.sync_data()?;
         }
         Ok(Wal {
             path,
             file,
             buf: Vec::new(),
-            entries: scan.entries,
-            bytes: scan.valid_len as u64,
+            entries: scan.frames,
+            bytes: scan.valid_len,
             poisoned: false,
         })
     }
@@ -189,8 +198,8 @@ impl Wal {
     }
 
     /// Like [`Wal::replay`], but also reports whether a torn tail was
-    /// dropped — the store's rotation recovery needs to distinguish a
-    /// cleanly-ended `WAL.old` from one that died mid-append.
+    /// dropped, telling a cleanly-ended log from one that died
+    /// mid-append.
     pub fn replay_with_outcome(path: impl AsRef<Path>) -> StorageResult<WalReplay> {
         Self::replay_with_outcome_on(&*vfs::real(), path.as_ref())
     }
@@ -200,41 +209,24 @@ impl Wal {
         let Some(raw) = vfs.try_read(path)? else {
             return Ok(WalReplay { entries: Vec::new(), torn: false });
         };
-
-        let mut entries = Vec::new();
-        let mut offset = 0usize;
-        let valid_prefix = loop {
-            // A missing or truncated header is a torn tail.
-            let Some((len, crc)) = frame_header(&raw, offset) else {
-                break offset;
-            };
-            if len > MAX_ENTRY_LEN {
-                break offset; // corrupt length field
-            }
-            let body_start = offset + 8;
-            let Some(body) = body_start
-                .checked_add(len as usize)
-                .and_then(|body_end| raw.get(body_start..body_end))
-            else {
-                break offset; // torn body
-            };
-            if crc32(body) != crc {
-                break offset; // corrupted entry — treat as torn tail
-            }
-            entries.push(body.to_vec());
-            offset = body_start + body.len();
-        };
-
-        let torn = valid_prefix < raw.len();
-        if torn {
+        let mut frames = Frames::new(&raw);
+        let entries: Vec<_> = frames.by_ref().map(|(_, payload)| payload.to_vec()).collect();
+        let scan = frames.outcome(entries.len() as u64);
+        if scan.torn {
             // Drop the torn tail so a future append starts from a clean
             // frame boundary.
-            let file = vfs.open_append(path)?;
-            file.set_len(valid_prefix as u64)?;
-            file.sync_data()?;
+            truncate_tail(vfs, path, scan.valid_len)?;
         }
-        Ok(WalReplay { entries, torn })
+        Ok(WalReplay { entries, torn: scan.torn })
     }
+}
+
+/// Cut the log at `path` back to its first `valid_len` bytes, durably —
+/// how recovery drops a torn tail from a log it does not append to.
+pub(crate) fn truncate_tail(vfs: &dyn Vfs, path: &Path, valid_len: u64) -> StorageResult<()> {
+    let file = vfs.open_append(path)?;
+    file.set_len(valid_len)?;
+    file.sync_data()
 }
 
 /// Message carried by every [`StorageError::Poisoned`] this module emits.
@@ -248,54 +240,61 @@ impl Drop for Wal {
     }
 }
 
-/// How far a raw log image parses cleanly, and how many frames it holds.
-struct FrameScan {
-    entries: u64,
-    valid_len: usize,
+/// What walking a log image found: where its valid prefix ends, how many
+/// frames that prefix holds, and whether bytes followed it (a torn tail).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Scan {
+    pub(crate) valid_len: u64,
+    pub(crate) frames: u64,
+    pub(crate) torn: bool,
 }
 
-/// Iterate the valid frame payloads of a raw log image, in append order,
-/// stopping at the first torn/corrupt frame — the same acceptance rule as
-/// replay, shared with the store's replication reader (which walks log
-/// images it read through the [`Vfs`] seam without opening a `Wal`).
-pub(crate) fn valid_frames(raw: &[u8]) -> impl Iterator<Item = &[u8]> {
-    let mut offset = 0usize;
-    std::iter::from_fn(move || {
-        let (len, crc) = frame_header(raw, offset)?;
-        if len > MAX_ENTRY_LEN {
-            return None;
-        }
-        let body_start = offset + 8;
-        let body = body_start.checked_add(len as usize).and_then(|end| raw.get(body_start..end))?;
-        if crc32(body) != crc {
-            return None;
-        }
-        offset = body_start + body.len();
-        Some(body)
-    })
+/// The valid frames of a raw log image, in append order, as `(offset,
+/// payload)`. Iteration stops at the first frame whose header, length or
+/// CRC does not check out: a torn tail. Replay, [`Wal::open_on`], the
+/// store's recovery and the replication reader all walk frames with it.
+pub(crate) struct Frames<'a> {
+    raw: &'a [u8],
+    offset: usize,
 }
 
-/// Walk the frames of `raw`, stopping at the first torn/corrupt one.
-fn scan_frames(raw: &[u8]) -> FrameScan {
-    let mut entries = 0u64;
-    let mut offset = 0usize;
-    while let Some((len, crc)) = frame_header(raw, offset) {
-        if len > MAX_ENTRY_LEN {
-            break;
-        }
-        let body_start = offset + 8;
-        let Some(body) =
-            body_start.checked_add(len as usize).and_then(|body_end| raw.get(body_start..body_end))
-        else {
-            break;
-        };
-        if crc32(body) != crc {
-            break;
-        }
-        entries += 1;
-        offset = body_start + body.len();
+impl<'a> Frames<'a> {
+    pub(crate) fn new(raw: &'a [u8]) -> Self {
+        Frames { raw, offset: 0 }
     }
-    FrameScan { entries, valid_len: offset }
+
+    /// What the walk found once exhausted, given the `frames` it yielded.
+    pub(crate) fn outcome(&self, frames: u64) -> Scan {
+        Scan { valid_len: self.offset as u64, frames, torn: self.offset < self.raw.len() }
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = (u64, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (len, crc) = frame_header(self.raw, self.offset)?;
+        if len > MAX_ENTRY_LEN {
+            return None; // corrupt length field
+        }
+        let body_start = self.offset + 8;
+        let body =
+            body_start.checked_add(len as usize).and_then(|end| self.raw.get(body_start..end))?;
+        if crc32(body) != crc {
+            return None; // corrupted entry — treat as torn tail
+        }
+        let at = self.offset as u64;
+        self.offset = body_start + body.len();
+        Some((at, body))
+    }
+}
+
+/// Bytes the frame at the start of `raw` spans, header included, read from
+/// its header alone: `None` when fewer than 8 bytes remain or the length
+/// field is beyond [`MAX_ENTRY_LEN`].
+pub(crate) fn frame_span(raw: &[u8]) -> Option<usize> {
+    let (len, _) = frame_header(raw, 0)?;
+    (len <= MAX_ENTRY_LEN).then_some(8 + len as usize)
 }
 
 /// Decode the `(len, crc)` frame header at `offset`, or `None` when fewer

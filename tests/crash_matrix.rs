@@ -27,10 +27,15 @@ use softwareputation::storage::{
 
 #[path = "support/crash.rs"]
 mod crash;
+#[path = "support/repl_oracle.rs"]
+mod repl_oracle;
 #[path = "support/tempdir.rs"]
 mod tempdir;
 
-use crash::{check_recovery, materialize, record_canonical_workload, site_label, Recording};
+use crash::{
+    check_recovery, materialize, record_canonical_workload, site_label, Recording, TREE_A,
+};
+use repl_oracle::Oracle;
 use tempdir::TempDir;
 
 const STYLES: [CrashStyle; 3] =
@@ -101,6 +106,34 @@ fn randomized_workload_recovers_at_every_durable_site() {
             let image = durable_image_at(&rec.log, k, style);
             materialize(&image, dir.path());
             check_recovery(dir.path(), &rec, k, &label);
+        }
+    }
+}
+
+/// The sparse sequence index behind `Store::replication_read` is derived
+/// state, rebuilt by every open. At every durable site of a compacting
+/// workload, under every crash style, the reopened store must serve every
+/// replication page exactly as a full scan of its recovered log files
+/// does — including images caught between rotation and `WAL.old`'s
+/// retirement, which open resumes — and keep doing so once new appends
+/// extend the rebuilt index.
+#[test]
+fn recovered_store_serves_replication_pages_like_a_full_scan_at_every_site() {
+    const PAGES: [(usize, usize); 3] = [(1, 1), (4, 120), (usize::MAX, usize::MAX)];
+    let rec = record_canonical_workload(18, &[5, 11]);
+    let dir = TempDir::new("crash-repl-index");
+    for k in 0..=rec.sites {
+        for style in STYLES {
+            let label = site_label(&rec, k, style);
+            materialize(&durable_image_at(&rec.log, k, style), dir.path());
+            let store = Store::open(dir.path())
+                .unwrap_or_else(|e| panic!("recovery failed at {label}: {e}"));
+            Oracle::read_dir(dir.path()).assert_matches(&store, &PAGES, &label);
+            for i in 0..3u8 {
+                store.put(TREE_A, vec![b'x', i], vec![i; 40]).expect("append after recovery");
+            }
+            let label = format!("{label}, after three appends");
+            Oracle::read_dir(dir.path()).assert_matches(&store, &PAGES, &label);
         }
     }
 }
