@@ -185,11 +185,14 @@ boot_smoke() { # log name; sets SMOKE_PID, PROTO_ADDR and WEB_ADDR
         cat "$log"; exit 1; }
     PROTO_ADDR="$(sed -n 's#.*protocol  ##p' "$log" | head -n1)"
 }
+fetch_metrics() { # the raw HTTP answer to GET /metrics on stdout
+    exec 3<>"/dev/tcp/${WEB_ADDR%:*}/${WEB_ADDR##*:}"
+    printf 'GET /metrics HTTP/1.1\r\nHost: %s\r\n\r\n' "$WEB_ADDR" >&3
+    cat <&3
+    exec 3<&- 3>&-
+}
 boot_smoke first.log
-exec 3<>"/dev/tcp/${WEB_ADDR%:*}/${WEB_ADDR##*:}"
-printf 'GET /metrics HTTP/1.1\r\nHost: %s\r\n\r\n' "$WEB_ADDR" >&3
-METRICS="$(cat <&3)"
-exec 3<&- 3>&-
+METRICS="$(fetch_metrics)"
 printf '%s\n' "$METRICS" | head -n1 | grep -q '200 OK' || {
     echo "/metrics did not answer 200:"; printf '%s\n' "$METRICS" | head -n5; exit 1; }
 printf '%s\n' "$METRICS" | grep -q 'Content-Type: text/plain; version=0.0.4' || {
@@ -206,6 +209,7 @@ for series in \
     softrep_reactor_wakeups_total \
     softrep_reactor_ready_events_count \
     softrep_reactor_dispatch_us_count \
+    softrep_reactor_inline_total \
     softrep_repl_lag_entries \
     softrep_repl_lag_bytes \
     softrep_repl_applied_seq \
@@ -219,6 +223,18 @@ printf '%s\n' "$METRICS" | sed '1,/^\r*$/d' | tr -d '\r' | awk '
     NF != 2 || $2 !~ /^[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$/ {
         print "malformed exposition line: " $0; bad = 1 }
     END { exit bad }' || exit 1
+# The reactor answers a query on its loop thread (DESIGN.md §14), so the
+# inline counter moves after one query-software.
+inline_total() { fetch_metrics | tr -d '\r' | sed -n 's/^softrep_reactor_inline_total //p'; }
+INLINE_BEFORE="$(inline_total)"
+QUERY='<?xml version="1.0" encoding="UTF-8"?><request type="query-software">'
+QUERY="$QUERY<software-id>$(printf 'ab%.0s' $(seq 20))</software-id></request>"
+proto_call "$PROTO_ADDR" "$QUERY" | grep -q 'unknown-software' || {
+    echo "query-software did not answer unknown-software"; exit 1; }
+INLINE_AFTER="$(inline_total)"
+[ "${INLINE_AFTER:-0}" -gt "${INLINE_BEFORE:-0}" ] || {
+    echo "softrep_reactor_inline_total did not move: '$INLINE_BEFORE' -> '$INLINE_AFTER'"
+    exit 1; }
 # The pseudonym key is made by the first pseudonym request and kept in the
 # data directory (DESIGN.md §5 invariant 13): a serverd restarted on the
 # same directory answers with the same modulus.

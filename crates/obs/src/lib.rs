@@ -35,7 +35,7 @@ pub mod span;
 pub mod time;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-pub use span::{RequestScope, SlowOp, Span, SpanFamily};
+pub use span::{PausedSpan, RequestScope, SlowOp, Span, SpanFamily};
 
 use std::sync::OnceLock;
 

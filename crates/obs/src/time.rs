@@ -32,6 +32,12 @@ impl Stopwatch {
         let micros = self.started.elapsed().as_micros();
         u64::try_from(micros).unwrap_or(u64::MAX)
     }
+
+    /// Nanoseconds elapsed since [`Stopwatch::start`], saturating at
+    /// `u64::MAX` (~584 years).
+    pub fn elapsed_nanos(&self) -> u64 {
+        u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
 }
 
 #[cfg(test)]

@@ -153,9 +153,11 @@ impl WorkerPool {
 /// [`WorkerPool`] above is admission control for thread-per-connection
 /// serving: one thread per accepted connection, created on demand. The
 /// reactor inverts that: connections are cheap state machines on one
-/// event loop, and only *handler execution* needs threads. Spawning one
-/// per request would cost more than the handler itself (~230 ns for a
-/// cached query), so `DispatchPool` keeps `workers` threads alive for the
+/// event loop, which answers the single-key queries itself, and only the
+/// expensive requests need threads: password stretching, writes that
+/// may wait for an fsync, RSA, replication reads. Those must not stall
+/// the loop, and spawning a thread per request would add its cost to
+/// each, so `DispatchPool` keeps `workers` threads alive for the
 /// server's lifetime and feeds them through a queue. The queue is
 /// unbounded here but bounded in practice: the reactor dispatches at most
 /// one in-flight request per connection, so queue depth ≤ open

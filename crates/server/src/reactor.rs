@@ -7,18 +7,21 @@
 //! everything above that is shed, and a slow-loris flooder can pin every
 //! worker with half-written frames. This module replaces threads with
 //! readiness: every connection is a small state machine driven by a
-//! single epoll loop, and only *handler execution* uses threads (a
-//! bounded [`crate::pool::DispatchPool`]), so an idle or stalled peer
-//! costs a few hundred bytes of state instead of a stack.
+//! single epoll loop, so an idle or stalled peer costs a few hundred bytes
+//! of state instead of a stack. The loop answers the cheap requests
+//! itself; only the expensive ones (password stretching, writes, RSA,
+//! replication reads) run on threads, a bounded
+//! [`crate::pool::DispatchPool`].
 //!
 //! Architecture (DESIGN.md §14):
 //!
 //! * **State machine** — `ReadingHeader → ReadingBody → Dispatched →
-//!   Writing → ReadingHeader`. Frames reassemble incrementally into a
-//!   per-connection buffer that is *recycled* through the dispatch cycle:
-//!   the request body `Vec` travels to the worker, comes back holding the
-//!   framed response, and swaps with the connection's previous write
-//!   buffer — steady state allocates nothing.
+//!   Writing → ReadingHeader`; a request answered on the loop skips
+//!   `Dispatched`. Frames reassemble incrementally into a per-connection
+//!   buffer that is *recycled* through the dispatch cycle: the request
+//!   body `Vec` (on the loop, or travelling to the worker) comes back
+//!   holding the framed response, and swaps with the connection's
+//!   previous write buffer — steady state allocates nothing.
 //! * **Backpressure** — while a request is in flight the connection's
 //!   epoll interest drops to zero (pipelined bytes wait in the kernel
 //!   buffer), and a response that overfills the socket buffer arms
@@ -26,9 +29,15 @@
 //! * **Timer wheel** — a 1024-slot hashed wheel (50 ms ticks) replaces
 //!   per-socket `SO_RCVTIMEO`/`SO_SNDTIMEO`; reaping an idle peer is an
 //!   O(1) wheel entry, not a parked thread waking from a timeout.
-//! * **Request path** — workers run `tcp::answer_frame`, the same
-//!   decode → handle → encode → frame function the thread server calls,
-//!   so the two servers differ only in transport.
+//! * **Request path** — the loop decodes each frame of up to
+//!   `INLINE_FRAME_MAX` bytes once with `tcp::decode_frame`. The
+//!   single-key queries and undecodable bodies are answered right there
+//!   with `tcp::answer_decoded` (`Route::of` decides), which saves the
+//!   pool round trip: two `epoll_ctl` calls, a condvar and an eventfd
+//!   wakeup. Everything else, and any larger frame, goes to a worker,
+//!   which calls the same `answer_decoded` (or `answer_frame` for a frame
+//!   the loop did not decode). The thread server calls the same two
+//!   halves, so the two servers differ only in transport.
 //! * **Completion path** — workers push finished responses onto a queue
 //!   and nudge the loop through an [`crate::epoll::EventFd`]; the loop
 //!   never blocks on anything but `epoll_wait`.
@@ -40,13 +49,15 @@
 //! end uses (the differential suite asserts both front ends tell the same
 //! story), plus reactor-specific series in the obs registry:
 //! `softrep_reactor_open_connections`, `softrep_reactor_wakeups_total`,
-//! `softrep_reactor_ready_events`, `softrep_reactor_dispatch_us`.
+//! `softrep_reactor_ready_events`, `softrep_reactor_dispatch_us` (frame
+//! complete → answer ready, on either path) and
+//! `softrep_reactor_inline_total` (requests answered on the loop).
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -56,12 +67,16 @@ use parking_lot::Mutex;
 use softrep_obs::metrics::{Counter, Gauge, Histogram};
 use softrep_obs::time::Stopwatch;
 use softrep_proto::framing::MAX_FRAME_LEN;
+use softrep_proto::Request;
 
 use crate::epoll::{self, Epoll, Event, EventFd};
 use crate::handler::ReputationServer;
 use crate::pool::DispatchPool;
 use crate::stats::{ServerStats, StatsSnapshot};
-use crate::tcp::{answer_frame, overloaded_frame, prepare_handler, TcpServerConfig};
+use crate::tcp::{
+    answer_decoded, answer_frame, decode_frame, overloaded_frame, prepare_handler, DecodedFrame,
+    TcpServerConfig,
+};
 
 /// Wheel granularity. Deadlines round up to the next tick, so an eviction
 /// lands within one tick after the configured timeout.
@@ -74,6 +89,10 @@ const EVENTS_PER_WAKE: usize = 1024;
 /// Buffers larger than this shrink once a request cycle completes, so one
 /// oversized frame does not pin its high-water mark forever.
 const BUF_KEEP: usize = 16 * 1024;
+/// The loop decodes frames up to this size itself; larger ones go to the
+/// pool undecoded, so one large anonymous frame cannot stall the loop. A
+/// query frame is under 200 bytes.
+const INLINE_FRAME_MAX: usize = 512;
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -81,12 +100,73 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// "No deadline" sentinel tick.
 const NEVER: u64 = u64::MAX;
 
+/// Where the reactor answers a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// On the loop thread: a single-key lookup that never touches the WAL
+    /// or an fsync, answered in less time than a pool handoff takes.
+    Inline,
+    /// On the dispatch pool, for the reason given.
+    Pool(&'static str),
+}
+
+impl Route {
+    /// Where `request` is answered. One arm per variant and no `_` arm, so
+    /// a new request kind has to choose.
+    fn of(request: &Request) -> Route {
+        match request {
+            Request::QuerySoftware { .. }
+            | Request::QueryDetails { .. }
+            | Request::QueryFeedEntry { .. } => Route::Inline,
+            Request::QueryVendor { .. } => {
+                Route::Pool("a report-cache miss reads one rating per title of the vendor")
+            }
+            Request::Login { .. } | Request::Register { .. } => {
+                Route::Pool("password stretching takes milliseconds")
+            }
+            Request::GetPuzzle => {
+                Route::Pool("draws on the server RNG, which Register holds while it stretches")
+            }
+            Request::Activate { .. }
+            | Request::RegisterSoftware { .. }
+            | Request::SubmitVote { .. }
+            | Request::SubmitComment { .. }
+            | Request::RateComment { .. }
+            | Request::SubmitEvidence { .. }
+            | Request::CreateFeed { .. }
+            | Request::PublishFeedEntry { .. } => {
+                Route::Pool("a write appends to the WAL and may wait for an fsync")
+            }
+            Request::GetPseudonymKey
+            | Request::BlindSignPseudonym { .. }
+            | Request::RegisterPseudonym { .. } => {
+                Route::Pool("RSA: the first call makes the key, and signing is an exponentiation")
+            }
+            Request::ReplSubscribe { .. } | Request::ReplSnapshot { .. } => {
+                Route::Pool("reads a page of the log or a snapshot chunk from disk")
+            }
+        }
+    }
+
+    /// Where a decoded frame is answered: a body that is not a request
+    /// gets `bad-request` on the loop.
+    fn of_frame(decoded: &DecodedFrame) -> Route {
+        match &decoded.request {
+            Ok(request) => Route::of(request),
+            Err(_) => Route::Inline,
+        }
+    }
+}
+
 /// A request handed to the dispatch pool.
 struct DispatchJob {
     token: u64,
     /// The reassembled frame body; recycled into the framed response
     /// buffer by the worker.
     body: Vec<u8>,
+    /// The body as the loop decoded it; `None` for a frame over
+    /// [`INLINE_FRAME_MAX`], which the worker decodes.
+    decoded: Option<DecodedFrame>,
     peer_tag: Arc<str>,
     started: Stopwatch,
 }
@@ -266,6 +346,7 @@ struct ReactorMetrics {
     wakeups: Arc<Counter>,
     ready_events: Arc<Histogram>,
     dispatch_us: Arc<Histogram>,
+    inline: Arc<Counter>,
 }
 
 impl ReactorMetrics {
@@ -276,6 +357,7 @@ impl ReactorMetrics {
             wakeups: registry.counter("softrep_reactor_wakeups_total"),
             ready_events: registry.histogram("softrep_reactor_ready_events"),
             dispatch_us: registry.histogram("softrep_reactor_dispatch_us"),
+            inline: registry.counter("softrep_reactor_inline_total"),
         }
     }
 }
@@ -289,6 +371,7 @@ pub struct ReactorServer {
     queue: Arc<CompletionQueue>,
     loop_thread: Option<JoinHandle<()>>,
     stats: Arc<ServerStats>,
+    answered_inline: Arc<AtomicU64>,
 }
 
 impl ReactorServer {
@@ -335,6 +418,8 @@ impl ReactorServer {
         let loop_shutdown = Arc::clone(&shutdown);
         let loop_queue = Arc::clone(&queue);
         let loop_stats = Arc::clone(&stats);
+        let answered_inline = Arc::new(AtomicU64::new(0));
+        let loop_answered_inline = Arc::clone(&answered_inline);
         let loop_thread =
             std::thread::Builder::new().name("softrep-reactor".to_string()).spawn(move || {
                 let mut reactor = Reactor {
@@ -346,6 +431,7 @@ impl ReactorServer {
                     queue: loop_queue,
                     shutdown: loop_shutdown,
                     metrics,
+                    answered_inline: loop_answered_inline,
                     pool: Some(pool),
                     conns: HashMap::new(),
                     wheel: TimerWheel::new(),
@@ -363,7 +449,14 @@ impl ReactorServer {
                 }
             })?;
 
-        Ok(ReactorServer { local_addr, shutdown, queue, loop_thread: Some(loop_thread), stats })
+        Ok(ReactorServer {
+            local_addr,
+            shutdown,
+            queue,
+            loop_thread: Some(loop_thread),
+            stats,
+            answered_inline,
+        })
     }
 
     /// The bound address (use port 0 to get an ephemeral port).
@@ -385,6 +478,13 @@ impl ReactorServer {
     /// Connections currently open on the reactor.
     pub fn active_connections(&self) -> usize {
         self.stats.snapshot().active as usize
+    }
+
+    /// Requests this server answered on its loop thread, without a round
+    /// trip through the dispatch pool (process-wide, the same count is
+    /// `softrep_reactor_inline_total`).
+    pub fn answered_inline(&self) -> u64 {
+        self.answered_inline.load(Ordering::Relaxed)
     }
 
     /// Stop accepting, answer in-flight requests up to the configured
@@ -414,8 +514,12 @@ impl Drop for ReactorServer {
 /// into the framed response, so the worker allocates nothing on the frame
 /// path (the `Response` encoding itself is protocol work, not framing).
 fn run_dispatch_job(server: &ReputationServer, queue: &CompletionQueue, job: DispatchJob) {
-    let DispatchJob { token, mut body, peer_tag, started } = job;
-    if answer_frame(server, &mut body, &peer_tag).is_err() {
+    let DispatchJob { token, mut body, decoded, peer_tag, started } = job;
+    let answered = match decoded {
+        Some(decoded) => answer_decoded(server, decoded, &mut body, &peer_tag),
+        None => answer_frame(server, &mut body, &peer_tag),
+    };
+    if answered.is_err() {
         // Not UTF-8: send nothing and close, as the thread server does.
         body.clear();
     }
@@ -432,6 +536,8 @@ struct Reactor {
     queue: Arc<CompletionQueue>,
     shutdown: Arc<AtomicBool>,
     metrics: ReactorMetrics,
+    /// Requests answered on this loop (see [`ReactorServer::answered_inline`]).
+    answered_inline: Arc<AtomicU64>,
     /// `Some` while serving; taken after the loop exits to join workers.
     pool: Option<DispatchPool<DispatchJob>>,
     conns: HashMap<u64, Conn>,
@@ -670,19 +776,44 @@ impl Reactor {
         }
     }
 
+    /// A complete frame is in the connection's body: decode it once, if it
+    /// is small, and answer it right here when [`Route::of`] allows;
+    /// otherwise hand it to the pool.
     fn dispatch(&mut self, token: u64) {
-        let epoll = &self.epoll;
-        let job = {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
-            conn.state = ConnState::Dispatched;
-            conn.deadline = NEVER;
-            // Zero interest while the request is in flight: pipelined
-            // frames wait in the kernel buffer (sequential per-connection
-            // semantics, same as the thread front end).
-            set_interest(epoll, conn, token, 0);
-            let body = std::mem::take(&mut conn.body);
-            let started = Stopwatch::start();
-            DispatchJob { token, body, peer_tag: Arc::clone(&conn.peer_tag), started }
+        let started = Stopwatch::start();
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let mut body = std::mem::take(&mut conn.body);
+        let decoded = if body.len() <= INLINE_FRAME_MAX {
+            match decode_frame(&body) {
+                Ok(decoded) => Some(decoded),
+                Err(_) => {
+                    // Not UTF-8: an empty completion closes the connection.
+                    self.install_completion(Completion { token, buf: Vec::new(), started });
+                    return;
+                }
+            }
+        } else {
+            None
+        };
+        let job = match decoded {
+            Some(decoded) if Route::of_frame(&decoded) == Route::Inline => {
+                if answer_decoded(&self.server, decoded, &mut body, &conn.peer_tag).is_err() {
+                    body.clear(); // not even the error frame fits: close, as the pool does
+                }
+                self.metrics.inline.inc();
+                self.answered_inline.fetch_add(1, Ordering::Relaxed);
+                self.install_completion(Completion { token, buf: body, started });
+                return;
+            }
+            decoded => {
+                conn.state = ConnState::Dispatched;
+                conn.deadline = NEVER;
+                // Zero interest while the request is in flight: pipelined
+                // frames wait in the kernel buffer (sequential
+                // per-connection semantics, same as the thread front end).
+                set_interest(&self.epoll, conn, token, 0);
+                DispatchJob { token, body, decoded, peer_tag: Arc::clone(&conn.peer_tag), started }
+            }
         };
         let submitted = self.pool.as_ref().is_some_and(|pool| pool.submit(job));
         if !submitted {
@@ -884,6 +1015,100 @@ mod tests {
             7,
         ));
         ReactorServer::spawn_with(server, "127.0.0.1:0", config).unwrap()
+    }
+
+    /// Every request kind's class, pinned: the three single-key queries and
+    /// undecodable bodies on the loop, everything else on the pool.
+    #[test]
+    fn route_pins_every_request_kind() {
+        let s = || String::from("x");
+        let cases = [
+            (Request::QuerySoftware { software_id: s() }, true),
+            (Request::QueryDetails { software_id: s() }, true),
+            (Request::QueryFeedEntry { feed: s(), software_id: s() }, true),
+            (Request::QueryVendor { vendor: s() }, false),
+            (Request::GetPuzzle, false),
+            (
+                Request::Register {
+                    username: s(),
+                    password: s(),
+                    email: s(),
+                    puzzle_challenge: s(),
+                    puzzle_solution: 0,
+                },
+                false,
+            ),
+            (Request::Activate { username: s(), token: s() }, false),
+            (Request::Login { username: s(), password: s() }, false),
+            (
+                Request::RegisterSoftware {
+                    software_id: s(),
+                    file_name: s(),
+                    file_size: 1,
+                    company: None,
+                    version: None,
+                },
+                false,
+            ),
+            (
+                Request::SubmitVote {
+                    session: s(),
+                    software_id: s(),
+                    score: 5,
+                    behaviours: vec![],
+                },
+                false,
+            ),
+            (Request::SubmitComment { session: s(), software_id: s(), text: s() }, false),
+            (Request::RateComment { session: s(), comment_id: 1, positive: true }, false),
+            (
+                Request::SubmitEvidence {
+                    analyzer_token: s(),
+                    software_id: s(),
+                    behaviours: vec![],
+                    analyzer: s(),
+                },
+                false,
+            ),
+            (Request::CreateFeed { session: s(), name: s() }, false),
+            (
+                Request::PublishFeedEntry {
+                    session: s(),
+                    feed: s(),
+                    software_id: s(),
+                    rating: 5.0,
+                    behaviours: vec![],
+                },
+                false,
+            ),
+            (Request::GetPseudonymKey, false),
+            (Request::BlindSignPseudonym { session: s(), blinded: s() }, false),
+            (
+                Request::RegisterPseudonym {
+                    username: s(),
+                    password: s(),
+                    token: s(),
+                    signature: s(),
+                },
+                false,
+            ),
+            (Request::ReplSubscribe { from_seq: 0, max_entries: 1, max_bytes: 1 }, false),
+            (Request::ReplSnapshot { seq: 0, offset: 0 }, false),
+        ];
+        for (request, inline) in &cases {
+            assert_eq!(Route::of(request) == Route::Inline, *inline, "{request:?}");
+        }
+        // QueryVendor is a query, but its cost grows with the vendor.
+        assert_eq!(
+            Route::of(&Request::QueryVendor { vendor: s() }),
+            Route::Pool("a report-cache miss reads one rating per title of the vendor")
+        );
+        // A body that is not a request is answered `bad-request` inline.
+        let garbage = decode_frame(b"this is not xml").unwrap();
+        assert!(garbage.request.is_err());
+        assert_eq!(Route::of_frame(&garbage), Route::Inline);
+        let query = Request::QuerySoftware { software_id: "ab".repeat(20) }.encode();
+        assert!(query.len() < INLINE_FRAME_MAX, "a query frame fits the inline limit");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! [`TcpServer`] is the server on platforms without epoll and the
 //! reference the reactor ([`FrontendServer::Epoll`]) is tested against;
 //! [`FrontendServer::spawn`] picks the platform's server. Both answer each
-//! frame through one request path, `answer_frame`. The agent simulations
+//! frame through one request path, `decode_frame` then `answer_decoded`
+//! (the reactor may run the two on different threads). The agent simulations
 //! call [`crate::handler::ReputationServer::handle`] in-process for speed.
 //! Robustness properties (§2.1's availability requirement):
 //!
@@ -40,10 +41,11 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use softrep_obs::span::{self, SpanFamily};
+use softrep_obs::span::{self, PausedSpan, Span, SpanFamily};
 use softrep_proto::framing::{
     encode_frame_into, read_frame_into, write_frame_with, FrameError, MAX_FRAME_LEN,
 };
+use softrep_proto::message::MessageError;
 use softrep_proto::{Request, Response};
 
 use crate::handler::ReputationServer;
@@ -63,8 +65,9 @@ pub struct TcpServerConfig {
     /// closed. Idle connections only hold a buffer pair, so this can sit
     /// orders of magnitude above `max_connections`.
     pub max_open_connections: usize,
-    /// Epoll front end: handler threads executing requests off the event
-    /// loop.
+    /// Epoll front end: handler threads for the requests the event loop
+    /// does not answer itself, which is all but the single-key queries
+    /// and malformed frames.
     pub dispatch_workers: usize,
     /// A connection idle (no complete frame) past this deadline is
     /// dropped, freeing its worker.
@@ -442,10 +445,11 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
-/// Sampled latency spans for [`answer_frame`], from decode through
+/// Sampled latency spans for the request path, from decode through
 /// framing. The span lives at the transport layer, not in `handle()`, so
-/// the in-memory dispatch path stays clock-free; it covers no socket I/O,
-/// so it means the same on both servers.
+/// the in-memory dispatch path stays clock-free; it covers no socket I/O
+/// and no wait between [`decode_frame`] and [`answer_decoded`], so it
+/// means the same on both servers and on both of the reactor's paths.
 fn request_spans() -> &'static SpanFamily {
     static FAMILY: OnceLock<SpanFamily> = OnceLock::new();
     FAMILY.get_or_init(|| {
@@ -466,23 +470,47 @@ pub(crate) fn prepare_handler(server: &ReputationServer, config: &TcpServerConfi
     }
 }
 
-/// The one request path of both servers. `frame` holds a received frame
-/// body; on return it holds the framed answer (header and body), reusing
-/// the buffer's capacity. A body that is not UTF-8 is
-/// [`FrameError::NotUtf8`] and the caller closes the connection. An answer
-/// too large for one frame is replaced by a `response-too-large` error, so
-/// the peer always hears back.
-pub(crate) fn answer_frame(
+/// A received frame body, decoded by [`decode_frame`] and waiting for
+/// [`answer_decoded`]. It carries the request's id and its latency span,
+/// paused, so the two halves may run on different threads and the span
+/// leaves out the time in between.
+pub(crate) struct DecodedFrame {
+    /// The request, or why the body is not one (answered `bad-request`).
+    pub(crate) request: Result<Request, MessageError>,
+    request_id: u64,
+    span: Option<PausedSpan<'static>>,
+}
+
+/// The first half of the one request path of both servers: check that
+/// `frame` (a received frame body) is UTF-8 and decode it. A body that is
+/// not UTF-8 is [`FrameError::NotUtf8`] and the caller closes the
+/// connection; one that does not decode still yields a [`DecodedFrame`],
+/// which [`answer_decoded`] answers with `bad-request`.
+pub(crate) fn decode_frame(frame: &[u8]) -> Result<DecodedFrame, FrameError> {
+    // Every request gets a process-unique id (slow-op attribution); the
+    // latency span itself is 1-in-N sampled.
+    let request_id = span::next_request_id();
+    let _scope = span::RequestScope::enter(request_id);
+    let timer = request_spans().maybe_start();
+    let text = std::str::from_utf8(frame).map_err(|_| FrameError::NotUtf8)?;
+    let request = Request::decode(text);
+    Ok(DecodedFrame { request, request_id, span: timer.map(Span::pause) })
+}
+
+/// The second half of the request path: answer `decoded` and frame the
+/// answer into `frame` (header and body), reusing the buffer's capacity.
+/// An answer too large for one frame is replaced by a
+/// `response-too-large` error, so the peer always hears back.
+pub(crate) fn answer_decoded(
     server: &ReputationServer,
+    decoded: DecodedFrame,
     frame: &mut Vec<u8>,
     peer_tag: &str,
 ) -> Result<(), FrameError> {
-    // Every request gets a process-unique id (slow-op attribution); the
-    // latency span itself is 1-in-N sampled.
-    let _scope = span::RequestScope::enter(span::next_request_id());
-    let timer = request_spans().maybe_start();
-    let text = std::str::from_utf8(frame).map_err(|_| FrameError::NotUtf8)?;
-    let response = match Request::decode(text) {
+    let DecodedFrame { request, request_id, span } = decoded;
+    let _scope = span::RequestScope::enter(request_id);
+    let timer = span.map(PausedSpan::resume);
+    let response = match request {
         Ok(request) => server.handle(&request, peer_tag),
         Err(e) => Response::error("bad-request", e.to_string()),
     };
@@ -495,6 +523,18 @@ pub(crate) fn answer_frame(
     }
     drop(timer);
     Ok(())
+}
+
+/// The whole request path in one call: [`decode_frame`], then
+/// [`answer_decoded`] into the same buffer. `frame` holds a received frame
+/// body; on return it holds the framed answer.
+pub(crate) fn answer_frame(
+    server: &ReputationServer,
+    frame: &mut Vec<u8>,
+    peer_tag: &str,
+) -> Result<(), FrameError> {
+    let decoded = decode_frame(frame)?;
+    answer_decoded(server, decoded, frame, peer_tag)
 }
 
 /// The framed `overloaded` answer a server sends a connection it sheds.

@@ -358,6 +358,12 @@ impl Store {
             let mut guard = self.commit.lock();
             let commit = &mut *guard;
             let next_seq = commit.ledger.appended_seq() + 1;
+            if payload.is_some() && commit.wal.is_none() {
+                // A compaction rotated the log but could not reopen it.
+                // Reopen it now, or refuse the write: a durable store never
+                // acknowledges a batch it did not journal.
+                commit.wal = Some(self.reopen_wal()?);
+            }
             if let (Some(wal), Some(payload)) = (commit.wal.as_mut(), payload.as_deref_mut()) {
                 if let Some(slot) = payload.get_mut(..8) {
                     slot.copy_from_slice(&next_seq.to_le_bytes());
@@ -389,6 +395,14 @@ impl Store {
             self.wait_durable(seq)?;
         }
         Ok(())
+    }
+
+    /// Open the store's `WAL` for appending (creating it if absent).
+    fn reopen_wal(&self) -> StorageResult<Wal> {
+        let Some(dir) = &self.dir else {
+            return Err(StorageError::Unsupported("the store keeps no log directory"));
+        };
+        Wal::open_on(&*self.vfs, dir.join(WAL_FILE))
     }
 
     /// Single-key put (one-op batch).
@@ -561,7 +575,7 @@ impl Store {
                 }
                 // Reopen before propagating: on rename failure this
                 // reopens the same log and the store stays serviceable.
-                commit.wal = Some(Wal::open_on(&*self.vfs, dir.join(WAL_FILE))?);
+                commit.wal = Some(self.reopen_wal()?);
                 renamed?;
                 commit.wal_rotations += 1;
             }
@@ -819,6 +833,53 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("softrep-store-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// `compact` renames `WAL` to `WAL.old` and then reopens a fresh
+    /// `WAL`. When that reopen fails, the next write must still reach a
+    /// log before it is acknowledged.
+    #[test]
+    fn a_write_after_a_failed_rotation_reopen_is_journaled() {
+        use crate::failpoint::{FailAction, Fault};
+        use crate::vfs::SimVfs;
+        let options = StoreOptions { durability: DurabilityMode::Always, shards: 4 };
+        let dir = PathBuf::from("/sim/rotation-reopen");
+        let vfs = Arc::new(SimVfs::new());
+        let s = Store::open_with_vfs(&dir, options, vfs.clone()).unwrap();
+        s.put("t", b"before".to_vec(), b"1".to_vec()).unwrap();
+        vfs.failpoints().set("vfs.open", FailAction::Nth(Fault::Err, 1));
+        assert!(s.compact().is_err(), "the reopen after the rename fails");
+        assert_eq!(vfs.failpoints().trip_count("vfs.open"), 1);
+        s.put("t", b"after".to_vec(), b"2".to_vec()).unwrap();
+        s.sync().unwrap();
+        drop(s);
+
+        let s = Store::open_with_vfs(&dir, options, vfs).unwrap();
+        assert_eq!(s.get("t", b"before").as_deref(), Some(&b"1"[..]));
+        assert_eq!(s.get("t", b"after").as_deref(), Some(&b"2"[..]), "acknowledged, so durable");
+    }
+
+    /// With no log to reopen, a durable store refuses the write instead of
+    /// applying it to memory alone.
+    #[test]
+    fn a_durable_store_with_no_log_refuses_writes() {
+        use crate::failpoint::{FailAction, Fault};
+        use crate::vfs::SimVfs;
+        let options = StoreOptions { durability: DurabilityMode::Always, shards: 4 };
+        let dir = PathBuf::from("/sim/no-log");
+        let vfs = Arc::new(SimVfs::new());
+        let s = Store::open_with_vfs(&dir, options, vfs.clone()).unwrap();
+        vfs.failpoints().set("vfs.open", FailAction::Every(Fault::Err));
+        assert!(s.compact().is_err());
+        assert!(s.put("t", b"lost".to_vec(), b"1".to_vec()).is_err(), "never acknowledged");
+        assert_eq!(s.get("t", b"lost"), None, "nor visible to readers");
+        vfs.failpoints().clear_all();
+        s.put("t", b"kept".to_vec(), b"2".to_vec()).unwrap();
+        drop(s);
+
+        let s = Store::open_with_vfs(&dir, options, vfs).unwrap();
+        assert_eq!(s.get("t", b"lost"), None);
+        assert_eq!(s.get("t", b"kept").as_deref(), Some(&b"2"[..]));
     }
 
     #[test]
