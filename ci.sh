@@ -3,14 +3,17 @@
 #
 #   1. cargo fmt --check            formatting
 #   2. cargo clippy -D warnings     compiler-adjacent lints, every
-#                                   workspace crate, all targets
-#   3. softrep-lint                 the workspace's own invariant pass
-#                                   (no-panic request path, clock
-#                                   discipline, trust bounds, Request
-#                                   exhaustiveness, plus the dataflow
-#                                   passes: privacy taint, lock order,
+#                                   workspace crate, all targets; also
+#                                   the invariants of DESIGN.md §7: the
+#                                   no-panic request path (deny
+#                                   attributes at the crate roots), clock
+#                                   discipline (clippy.toml), Request
+#                                   exhaustiveness; and every #[allow]
+#                                   must give a reason
+#   3. softrep-lint                 the workspace's own dataflow pass
+#                                   (privacy taint, lock order,
 #                                   guard-across-I/O, suppression audit —
-#                                   see DESIGN.md §7 and §11). Runs in
+#                                   see DESIGN.md §11). Runs in
 #                                   JSON mode against the committed
 #                                   baseline and fails on any NEW
 #                                   diagnostic. After deliberately
@@ -92,7 +95,8 @@ step "1/13 cargo fmt --check"
 cargo fmt --all -- --check
 
 step "2/13 cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings \
+    -D clippy::allow_attributes_without_reason
 
 step "3/13 softrep-lint (baseline diff)"
 # Fails on diagnostics not present in lint-baseline.json. To accept a

@@ -21,10 +21,12 @@ pub fn print_tables(id: &str, tables: &[softrep_sim::TextTable]) {
 }
 
 /// Wall-clock one closure, printing the duration after the experiment id.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock duration of a bench run is the measurement itself"
+)]
 pub fn timed<T>(id: &str, f: impl FnOnce() -> T) -> T {
-    // Measures the harness itself, not simulated time — the one legitimate
-    // raw-clock read outside softrep-core's clock module.
-    let start = std::time::Instant::now(); // lint: allow(clock, "wall-clock duration of a bench run is the measurement itself")
+    let start = std::time::Instant::now();
     let out = f();
     println!("[{id} completed in {:.1?}]", start.elapsed());
     out

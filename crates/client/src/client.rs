@@ -471,7 +471,10 @@ impl<C: Connector> ReputationClient<C> {
     /// Rating prompts apply to every *ran* program regardless of how it was
     /// allowed — the paper asks users to rate "the software that they use
     /// most frequently", which is precisely the whitelisted software.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the decision, the program and its prompt context travel together"
+    )]
     fn after_allow(
         &mut self,
         id_hex: &str,

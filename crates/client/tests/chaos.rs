@@ -5,6 +5,11 @@
 //! retry and surface as `Exhausted` only when the budget runs out;
 //! protocol violations are `Fatal` after precisely one attempt.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "deadlines and latency bounds on real sockets need the wall clock"
+)]
+
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -25,6 +25,21 @@
 //! to the full path's. `tests/properties.rs` checks this with randomized
 //! workloads; `tests/golden_aggregation.rs` pins a 10 000-vote scenario.
 
+// A panic on the request path turns one hostile frame or bad record into
+// an outage: these lints hold outside tests (this module).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of hash shards the dirty set is partitioned into.

@@ -135,6 +135,10 @@ impl Clock for SimClock {
 pub struct SystemClock;
 
 impl Clock for SystemClock {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one calendar-clock read; everything else takes a Clock"
+    )]
     fn now(&self) -> Timestamp {
         let secs = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)

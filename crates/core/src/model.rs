@@ -409,38 +409,7 @@ impl Decode for AccumulatorRecord {
     }
 }
 
-/// Per-user trust state (see [`crate::trust`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrustRecord {
-    /// Username.
-    pub username: String,
-    /// Current trust factor in `[MIN_TRUST, MAX_TRUST]`.
-    pub trust: f64,
-    /// Week index of the growth-accounting window.
-    pub week: u64,
-    /// Growth already consumed inside `week`.
-    pub growth_this_week: f64,
-}
-
-impl Encode for TrustRecord {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.username);
-        w.put_f64(self.trust);
-        w.put_varint(self.week);
-        w.put_f64(self.growth_this_week);
-    }
-}
-
-impl Decode for TrustRecord {
-    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
-        Ok(TrustRecord {
-            username: r.get_str()?,
-            trust: r.get_f64()?,
-            week: r.get_varint()?,
-            growth_this_week: r.get_f64()?,
-        })
-    }
-}
+pub use crate::trust::TrustRecord;
 
 #[cfg(test)]
 mod tests {
@@ -580,12 +549,6 @@ mod tests {
         fn remark_roundtrip(rater in "[a-z]{1,10}", id: u64, positive: bool, ts: u64) {
             let rec = RemarkRecord { rater, comment_id: id, positive, made_at: Timestamp(ts) };
             prop_assert_eq!(RemarkRecord::decode_from_bytes(&rec.encode_to_bytes()).unwrap(), rec);
-        }
-
-        #[test]
-        fn trust_roundtrip(user in "[a-z]{1,10}", trust in 1.0f64..100.0, week: u64, growth in 0.0f64..5.0) {
-            let rec = TrustRecord { username: user, trust, week, growth_this_week: growth };
-            prop_assert_eq!(TrustRecord::decode_from_bytes(&rec.encode_to_bytes()).unwrap(), rec);
         }
 
         #[test]

@@ -1,37 +1,23 @@
-//! `softrep-lint` — a workspace-local static-analysis pass.
+//! `softrep-lint` — a workspace-local dataflow pass.
 //!
-//! The reputation system's correctness arguments (DESIGN.md, "Static
-//! verification layer") lean on four implementation invariants that the
-//! type system cannot express. This crate checks them mechanically:
+//! The reputation system's correctness arguments (DESIGN.md §7 and §11)
+//! lean on invariants that neither the type system nor clippy can check,
+//! because they follow values and lock guards through a function. Over a
+//! per-function CFG with def-use chains ([`cfg`]) this crate runs:
 //!
-//! 1. **panic** — the request path (server handler, the TCP front end
-//!    with its worker pool and stats counters, storage wal/store/table,
-//!    core db) never calls `unwrap`/`expect`, never invokes a
-//!    `panic!`-family macro, and never indexes a slice without `.get()`.
-//!    One malformed record or hostile frame must degrade into a typed
-//!    error, not a crashed server.
-//! 2. **clock** — `SystemTime::now`/`Instant::now` appear only in
-//!    `crates/core/src/clock.rs`. Everything else takes a `Clock`
-//!    injection so simulated weeks stay deterministic.
-//! 3. **trust** — trust-factor fields are written only through the
-//!    clamping helpers in `crates/core/src/trust.rs`, keeping every
-//!    stored value inside `[MIN_TRUST, MAX_TRUST]`.
-//! 4. **exhaustive** — the server dispatcher matches every `Request`
-//!    variant by name, with no `_ =>` arm to silently drop a
-//!    newly-added protocol message.
-//!
-//! On top of the token rules, three dataflow passes run over a per-
-//! function CFG with def-use chains ([`cfg`]):
-//!
-//! 5. **taint** — privacy-sensitive values (peer addresses, credentials)
+//! 1. **taint** — privacy-sensitive values (peer addresses, credentials)
 //!    must pass through a pseudonymizing sanitizer before reaching any
 //!    output sink ([`taint`]).
-//! 6. **lockorder** — the workspace-wide lock-acquisition graph stays
+//! 2. **lockorder** — the workspace-wide lock-acquisition graph stays
 //!    acyclic and multi-guard acquisition is provably ascending
 //!    ([`lockorder`]).
-//! 7. **guard-io** — no guard is held across blocking I/O ([`guardio`]).
-//! 8. **suppression** — every inline suppression carries a written
-//!    reason.
+//! 3. **guard-io** — no guard is held across blocking I/O ([`guardio`]).
+//! 4. **suppression** — every inline suppression carries a written
+//!    reason ([`rules`]).
+//!
+//! The request-path no-panic rule, clock discipline, trust bounds and
+//! `Request` exhaustiveness are enforced by clippy lints, the root
+//! `clippy.toml` and `TrustRecord`'s private fields instead.
 //!
 //! Findings can be suppressed per line with
 //! `// lint: allow(<rule>, "reason")`. Run it with
@@ -48,7 +34,7 @@ pub mod taint;
 
 use std::path::{Path, PathBuf};
 
-pub use rules::{check_exhaustiveness, Diagnostic, FileCheck, RULES};
+pub use rules::{Diagnostic, FileCheck, RULES};
 
 /// The outcome of a full run: diagnostics plus coverage counters.
 pub struct LintReport {
@@ -63,17 +49,12 @@ pub struct LintReport {
 pub enum LintError {
     /// An I/O failure reading the tree or a source file.
     Io(PathBuf, std::io::Error),
-    /// The proto source defining `enum Request` was not found.
-    MissingProto(PathBuf),
 }
 
 impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LintError::Io(path, e) => write!(f, "{}: {e}", path.display()),
-            LintError::MissingProto(path) => {
-                write!(f, "proto source not found at {}", path.display())
-            }
         }
     }
 }
@@ -99,7 +80,7 @@ pub fn run_lint_report(root: &Path) -> Result<LintReport, LintError> {
         let rel = relative_slash_path(root, &path);
         let source = std::fs::read_to_string(&path).map_err(|e| LintError::Io(path.clone(), e))?;
         let check = FileCheck::new(rel.clone(), &source);
-        out.extend(check.check());
+        check.check_suppressions(&mut out);
         let funcs = check.functions();
         taint::check(&check, &funcs, &mut out);
         lock_edges.extend(lockorder::check(&check, &funcs, &mut out));
@@ -108,13 +89,6 @@ pub fn run_lint_report(root: &Path) -> Result<LintReport, LintError> {
     }
 
     lockorder::check_cycles(&lock_edges, &checks, &mut out);
-
-    if let Some(handler) = checks.iter().find(|c| c.path == rules::HANDLER_FILE) {
-        let proto_path = root.join(rules::PROTO_FILE);
-        let proto = std::fs::read_to_string(&proto_path)
-            .map_err(|_| LintError::MissingProto(proto_path))?;
-        out.extend(check_exhaustiveness(&proto, handler));
-    }
 
     out.sort();
     Ok(LintReport { diagnostics: out, files_scanned: checks.len() })
@@ -194,19 +168,13 @@ mod tests {
         dir
     }
 
-    fn minimal_proto() -> &'static str {
-        "pub enum Request { Ping }"
-    }
+    /// An fsync under a lock guard: a `guard-io` finding on line 3.
+    const GUARD_IO: &str =
+        "impl Wal { fn append(&self) {\n    let q = self.queue.lock();\n    q.file.sync_all();\n} }\n";
 
     #[test]
     fn clean_fixture_yields_no_diagnostics() {
         let root = fixture_root("clean");
-        write(&root, "crates/proto/src/message.rs", minimal_proto());
-        write(
-            &root,
-            "crates/server/src/handler.rs",
-            "fn h(r: &Request) { match r { Request::Ping => {} } }",
-        );
         write(&root, "crates/core/src/db.rs", "fn f(v: &[u8]) -> Option<&u8> { v.get(0) }");
         let diags = run_lint(&root).expect("lint runs");
         assert!(diags.is_empty(), "unexpected: {diags:?}");
@@ -216,42 +184,59 @@ mod tests {
     #[test]
     fn seeded_violations_are_found_with_paths_and_lines() {
         let root = fixture_root("seeded");
-        write(&root, "crates/proto/src/message.rs", "pub enum Request { Ping, Pong }");
+        write(&root, "crates/storage/src/wal.rs", GUARD_IO);
         write(
             &root,
-            "crates/server/src/handler.rs",
-            "fn h(r: &Request) {\n    match r {\n        Request::Ping => {}\n        _ => {}\n    }\n}\n",
-        );
-        write(
-            &root,
-            "crates/core/src/db.rs",
-            "fn f(v: Vec<u8>) -> u8 {\n    v.first().copied().unwrap()\n}\n",
-        );
-        write(
-            &root,
-            "crates/sim/src/agents.rs",
-            "fn now() -> std::time::Instant { std::time::Instant::now() }",
+            "crates/server/src/tcp.rs",
+            "fn serve(peer: SocketAddr) {\n    println!(\"{peer}\");\n}\n",
         );
         let diags = run_lint(&root).expect("lint runs");
         let lines: Vec<_> = diags.iter().map(|d| (d.file.as_str(), d.line, d.rule)).collect();
-        assert!(lines.contains(&("crates/core/src/db.rs", 2, "panic")), "{lines:?}");
-        assert!(lines.contains(&("crates/server/src/handler.rs", 4, "exhaustive")), "{lines:?}");
-        assert!(lines.contains(&("crates/sim/src/agents.rs", 1, "clock")), "{lines:?}");
-        assert!(
-            diags.iter().any(|d| d.rule == "exhaustive" && d.message.contains("Request::Pong")),
-            "{diags:?}"
-        );
+        assert!(lines.contains(&("crates/storage/src/wal.rs", 3, "guard-io")), "{lines:?}");
+        assert!(lines.contains(&("crates/server/src/tcp.rs", 2, "taint")), "{lines:?}");
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn vendor_and_tests_dirs_are_out_of_scope() {
         let root = fixture_root("scope");
-        write(&root, "vendor/rand/src/lib.rs", "fn f() { x.unwrap(); panic!(); }");
-        write(&root, "crates/core/tests/it.rs", "fn f() { x.unwrap(); }");
+        write(&root, "vendor/rand/src/lib.rs", GUARD_IO);
+        write(&root, "crates/core/tests/it.rs", GUARD_IO);
         write(&root, "crates/core/src/db.rs", "fn ok() {}");
         let diags = run_lint(&root).expect("lint runs");
         assert!(diags.is_empty(), "unexpected: {diags:?}");
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn cfg_test_modules_are_exempt() {
+        let root = fixture_root("cfg-test");
+        write(
+            &root,
+            "crates/storage/src/wal.rs",
+            &format!("fn ok() {{}}\n#[cfg(test)]\nmod tests {{\n{GUARD_IO}}}\n"),
+        );
+        let diags = run_lint(&root).expect("lint runs");
+        assert!(diags.is_empty(), "unexpected: {diags:?}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn allow_directive_suppresses_only_its_line_and_rule() {
+        let run = |name: &str, src: &str| {
+            let root = fixture_root(name);
+            write(&root, "crates/storage/src/wal.rs", src);
+            let diags = run_lint(&root).expect("lint runs");
+            std::fs::remove_dir_all(&root).ok();
+            diags
+        };
+        let same_line =
+            GUARD_IO.replace("sync_all();", "sync_all(); // lint: allow(guard-io, \"test\")");
+        assert!(run("allow-same", &same_line).is_empty());
+        let wrong_rule =
+            GUARD_IO.replace("sync_all();", "sync_all(); // lint: allow(taint, \"test\")");
+        assert_eq!(run("allow-wrong", &wrong_rule).len(), 1);
+        let too_early = GUARD_IO.replace("let q", "// lint: allow(guard-io, \"test\")\n    let q");
+        assert_eq!(run("allow-early", &too_early).len(), 1);
     }
 }

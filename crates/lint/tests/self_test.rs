@@ -45,103 +45,20 @@ fn real_workspace_is_clean() {
     assert!(stdout.trim().is_empty(), "clean run printed diagnostics:\n{stdout}");
 }
 
+/// An fsync under a lock guard: a `guard-io` finding on line 3.
+const GUARD_IO: &str =
+    "impl Wal {\n    fn append(&self) { let q = self.queue.lock();\n        q.file.sync_all();\n    }\n}\n";
+
 #[test]
-fn seeded_unwrap_fails_with_file_and_line() {
-    let root = fixture_root("unwrap");
-    write(&root, "crates/proto/src/message.rs", "pub enum Request { Ping }");
-    write(
-        &root,
-        "crates/server/src/handler.rs",
-        "fn h(r: &Request) { match r { Request::Ping => {} } }",
-    );
-    write(
-        &root,
-        "crates/storage/src/wal.rs",
-        "fn replay(raw: &[u8]) -> u8 {\n    let len = raw.first().unwrap();\n    raw[1] + len\n}\n",
-    );
+fn seeded_guard_io_fails_with_file_and_line() {
+    let root = fixture_root("guard-io");
+    write(&root, "crates/storage/src/wal.rs", GUARD_IO);
     let out = run_on(&root);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
     assert!(
-        stdout.contains("crates/storage/src/wal.rs:2: [panic]"),
-        "missing unwrap diagnostic:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("crates/storage/src/wal.rs:3: [panic]"),
-        "missing indexing diagnostic:\n{stdout}"
-    );
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn array_literal_after_a_keyword_is_not_an_index_expression() {
-    // `for x in [A, B]` and `return [..]` put `[` right after a keyword
-    // the lexer tokenizes as Ident; only real `container[index]` panics.
-    let root = fixture_root("array-literal");
-    write(&root, "crates/proto/src/message.rs", "pub enum Request { Ping }");
-    write(
-        &root,
-        "crates/server/src/handler.rs",
-        "fn h(r: &Request) { match r { Request::Ping => {} } }",
-    );
-    write(
-        &root,
-        "crates/storage/src/wal.rs",
-        "fn scan() -> [u8; 2] {\n    for name in [\"a\", \"b\"] {\n        let _ = name;\n    }\n    return [0, 1];\n}\n",
-    );
-    let out = run_on(&root);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "array literals flagged as indexing:\n{stdout}");
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn seeded_clock_and_trust_violations_fail() {
-    let root = fixture_root("clock-trust");
-    write(&root, "crates/proto/src/message.rs", "pub enum Request { Ping }");
-    write(
-        &root,
-        "crates/server/src/handler.rs",
-        "fn h(r: &Request) { match r { Request::Ping => {} } }",
-    );
-    write(
-        &root,
-        "crates/core/src/aggregate.rs",
-        "fn stamp() -> std::time::SystemTime {\n    std::time::SystemTime::now()\n}\nfn boost(r: &mut Rec) {\n    r.trust += 10.0;\n}\n",
-    );
-    let out = run_on(&root);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
-    assert!(
-        stdout.contains("crates/core/src/aggregate.rs:2: [clock]"),
-        "missing clock diagnostic:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("crates/core/src/aggregate.rs:5: [trust]"),
-        "missing trust diagnostic:\n{stdout}"
-    );
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn seeded_missing_request_arm_fails() {
-    let root = fixture_root("exhaustive");
-    write(
-        &root,
-        "crates/proto/src/message.rs",
-        "pub enum Request { Ping, Shutdown { reason: String } }",
-    );
-    write(
-        &root,
-        "crates/server/src/handler.rs",
-        "fn h(r: &Request) { match r { Request::Ping => {} } }",
-    );
-    let out = run_on(&root);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
-    assert!(
-        stdout.contains("[exhaustive]") && stdout.contains("Request::Shutdown"),
-        "missing exhaustiveness diagnostic:\n{stdout}"
+        stdout.contains("crates/storage/src/wal.rs:3: [guard-io]"),
+        "missing guard-io diagnostic:\n{stdout}"
     );
     std::fs::remove_dir_all(&root).ok();
 }
@@ -149,17 +66,11 @@ fn seeded_missing_request_arm_fails() {
 #[test]
 fn allow_directive_turns_failure_into_clean_exit() {
     let root = fixture_root("allow");
-    write(&root, "crates/proto/src/message.rs", "pub enum Request { Ping }");
-    write(
-        &root,
-        "crates/server/src/handler.rs",
-        "fn h(r: &Request) { match r { Request::Ping => {} } }",
+    let allowed = GUARD_IO.replace(
+        "sync_all();",
+        "sync_all(); // lint: allow(guard-io, \"the flush orders the queue\")",
     );
-    write(
-        &root,
-        "crates/core/src/db.rs",
-        "fn f(v: &[u8]) -> u8 {\n    v[0] // lint: allow(panic, \"length checked by caller\")\n}\n",
-    );
+    write(&root, "crates/storage/src/wal.rs", &allowed);
     let out = run_on(&root);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "allow directive ignored:\n{stdout}");
@@ -167,27 +78,9 @@ fn allow_directive_turns_failure_into_clean_exit() {
 }
 
 #[test]
-fn missing_proto_without_handler_is_not_an_error() {
-    // Exhaustiveness is only checked when the handler file is in the tree,
-    // so a partial fixture without proto/handler still lints cleanly.
-    let root = fixture_root("no-proto");
-    write(&root, "crates/core/src/db.rs", "fn ok() {}");
-    let out = run_on(&root);
-    assert!(out.status.success());
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn handler_without_proto_exits_with_driver_error() {
-    let root = fixture_root("no-proto-handler");
-    write(
-        &root,
-        "crates/server/src/handler.rs",
-        "fn h(r: &Request) { match r { Request::Ping => {} } }",
-    );
-    let out = run_on(&root);
+fn unknown_argument_exits_with_driver_error() {
+    let out = Command::new(lint_binary()).arg("--bogus").output().expect("spawn softrep-lint");
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("proto source not found"), "stderr:\n{stderr}");
-    std::fs::remove_dir_all(&root).ok();
+    assert!(stderr.contains("unknown argument"), "stderr:\n{stderr}");
 }

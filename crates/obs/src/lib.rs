@@ -19,7 +19,7 @@
 //!    stay off the nanosecond-scale request path.
 //! 2. **Zero dependencies.** Like the rest of the workspace, everything —
 //!    the log-linear histogram, the exposition writer — is hand-rolled.
-//! 3. **No panics.** The crate is under softrep-lint's no-panic rule: a
+//! 3. **No panics.** The crate denies clippy's panic lints (below): a
 //!    metrics bug must never take down the serving path it observes.
 //!
 //! Knobs (read once, at first use of the global registry):
@@ -29,6 +29,21 @@
 //! * `SOFTREP_SPAN_SAMPLE` — sample 1 in N span timings for families
 //!   constructed with [`span::SpanFamily::sampled`] (default 64, clamped
 //!   to a power of two; 1 = time every span).
+
+// A panic on the request path turns one hostile frame or bad record into
+// an outage: these lints hold outside tests (every module of this crate).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod metrics;
 pub mod span;

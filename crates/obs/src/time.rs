@@ -1,7 +1,8 @@
 //! Monotonic time for latency measurement.
 //!
 //! This module is the **only** place outside `crates/core/src/clock.rs`
-//! allowed to read an OS clock (softrep-lint's `clock` rule names both).
+//! allowed to read an OS clock (the root `clippy.toml` disallows
+//! `Instant::now` and `SystemTime::now`; both homes allow it by name).
 //! The separation is deliberate: `core::clock` models *simulated calendar
 //! time* — everything the paper's semantics depend on (24 h batches,
 //! weekly trust caps) is driven by an injected `Clock` so experiments stay
@@ -9,7 +10,7 @@
 //! observe *real* elapsed wall time of real I/O, and injecting a simulated
 //! clock into it would only ever report zeros. Keeping the monotonic read
 //! behind [`Stopwatch`] means no other module grows its own `Instant::now`
-//! habit, and the lint keeps every caller honest.
+//! habit, and clippy keeps every caller honest.
 
 use std::time::Instant;
 
@@ -21,6 +22,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Start measuring now.
+    #[allow(clippy::disallowed_methods, reason = "the one monotonic-clock read for latency")]
     pub fn start() -> Self {
         Stopwatch { started: Instant::now() }
     }

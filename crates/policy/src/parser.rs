@@ -83,7 +83,7 @@ impl Parser {
         t
     }
 
-    #[cfg_attr(not(test), allow(dead_code))] // parser-extension hook, exercised in tests
+    #[cfg_attr(not(test), allow(dead_code, reason = "parser-extension hook, exercised in tests"))]
     fn expect_ident(&mut self, expected: &str) -> Result<(), PolicyError> {
         match self.bump() {
             Some(Token::Ident(id)) if id == expected => Ok(()),

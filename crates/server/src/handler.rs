@@ -1,5 +1,9 @@
 //! The request dispatcher: protocol messages → reputation database.
 
+// Every `Request` variant is matched by name: a catch-all arm would let a
+// newly added protocol message fall through silently.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -287,6 +291,14 @@ impl ReputationServer {
         out
     }
 
+    /// A private RNG seeded by one draw from the server RNG. A registration
+    /// stretches its password under the db write gate; with its own RNG it
+    /// holds no lock that `GetPuzzle` or `Login` waits on, and its output
+    /// still follows from the server seed and the order of requests.
+    fn fork_rng(&self) -> StdRng {
+        StdRng::seed_from_u64(self.rng.lock().next_u64())
+    }
+
     /// Handle one request from `source` (a transport-level identity used
     /// only for flood control — never persisted, per §2.2).
     pub fn handle(&self, request: &Request, source: &str) -> Response {
@@ -326,8 +338,7 @@ impl ReputationServer {
                         }
                     }
                 }
-                let mut rng = self.rng.lock();
-                match self.db.register_user(username, password, email, now, &mut *rng) {
+                match self.db.register_user(username, password, email, now, &mut self.fork_rng()) {
                     Ok(activation_token) => Response::Registered { activation_token },
                     Err(e) => error_response(e),
                 }
@@ -492,9 +503,8 @@ impl ReputationServer {
                     );
                 }
                 let token_digest = softrep_crypto::hex::encode(&Sha256::digest(&token_bytes));
-                let mut rng = self.rng.lock();
-                match self.db.register_pseudonym(username, password, &token_digest, now, &mut *rng)
-                {
+                let mut rng = self.fork_rng();
+                match self.db.register_pseudonym(username, password, &token_digest, now, &mut rng) {
                     Ok(()) => Response::Ok,
                     Err(e) => error_response(e),
                 }

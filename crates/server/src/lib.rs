@@ -40,6 +40,21 @@
 //!   subscription/snapshot endpoints and [`repl::ReplicaTail`], the
 //!   loop that keeps a read replica's store current.
 
+// A panic on the request path turns one hostile frame or bad record into
+// an outage: these lints hold outside tests (every module of this crate).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 #[cfg(target_os = "linux")]
 pub mod epoll;
 pub mod flood;

@@ -113,6 +113,7 @@ enum Route {
 impl Route {
     /// Where `request` is answered. One arm per variant and no `_` arm, so
     /// a new request kind has to choose.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn of(request: &Request) -> Route {
         match request {
             Request::QuerySoftware { .. }
@@ -125,7 +126,7 @@ impl Route {
                 Route::Pool("password stretching takes milliseconds")
             }
             Request::GetPuzzle => {
-                Route::Pool("draws on the server RNG, which Register holds while it stretches")
+                Route::Pool("locks the server RNG, which logins and registrations share")
             }
             Request::Activate { .. }
             | Request::RegisterSoftware { .. }

@@ -359,7 +359,10 @@ impl Drop for TcpServer {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one accepted connection needs every shared piece of the front end"
+)]
 fn handle_accept(
     server: &Arc<ReputationServer>,
     pool: &Arc<WorkerPool>,

@@ -58,31 +58,24 @@ pub fn html_escape(text: &str) -> String {
 /// Decode `%xx` and `+` in a query value. Invalid escapes pass through
 /// literally (lenient, like most servers).
 pub fn url_decode(input: &str) -> String {
-    let bytes = input.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => {
-                out.push(b' ');
-                i += 1;
+    let mut rest = input.as_bytes();
+    let mut out = Vec::with_capacity(rest.len());
+    while let [first, tail @ ..] = rest {
+        let escape = match tail {
+            [hi, lo, after @ ..] if *first == b'%' => std::str::from_utf8(&[*hi, *lo])
+                .ok()
+                .and_then(|h| u8::from_str_radix(h, 16).ok())
+                .map(|b| (b, after)),
+            _ => None,
+        };
+        match escape {
+            Some((b, after)) => {
+                out.push(b);
+                rest = after;
             }
-            b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
-                }
-            }
-            other => {
-                out.push(other);
-                i += 1;
+            None => {
+                out.push(if *first == b'+' { b' ' } else { *first });
+                rest = tail;
             }
         }
     }
@@ -328,11 +321,11 @@ impl WebServer {
     /// Bind `addr` and serve the read-only web UI over `server`.
     pub fn spawn(server: Arc<ReputationServer>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_thread = std::thread::spawn(move || {
-            listener.set_nonblocking(true).expect("set_nonblocking");
             while !accept_shutdown.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
@@ -604,6 +597,8 @@ mod tests {
         assert_eq!(url_decode("%41%42"), "AB");
         assert_eq!(url_decode("100%"), "100%");
         assert_eq!(url_decode("%zz"), "%zz");
+        assert_eq!(url_decode("%4"), "%4");
+        assert_eq!(url_decode("%%41"), "%A");
         assert_eq!(url_decode(""), "");
     }
 

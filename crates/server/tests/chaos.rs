@@ -11,6 +11,11 @@
 //! replays the seeded sweep against both front ends asserting
 //! byte-identical response transcripts.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "deadlines and latency bounds on real sockets need the wall clock"
+)]
+
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;

@@ -9,6 +9,11 @@
 //! watermark-resubscribe protocol must absorb without ever applying a
 //! gap or a double.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "deadlines and latency bounds on real sockets need the wall clock"
+)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;

@@ -2,14 +2,18 @@
 //! dispatcher, and every response must itself re-encode cleanly (the
 //! closed-loop property a long-running daemon needs).
 
-use std::sync::Arc;
+use std::path::Path;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use softrep_core::clock::SimClock;
 use softrep_core::db::ReputationDb;
+use softrep_crypto::salted::SecretPepper;
 use softrep_proto::{Request, Response};
 use softrep_server::{ReputationServer, ServerConfig};
+use softrep_storage::{SimVfs, StorageResult, Store, StoreOptions, Vfs, VfsFile};
 
 fn server() -> Arc<ReputationServer> {
     Arc::new(ReputationServer::new(
@@ -175,4 +179,138 @@ fn session_tokens_do_not_collide_under_load() {
         let Response::Session { token } = resp else { panic!("{resp:?}") };
         assert!(tokens.insert(token), "session token collision");
     }
+}
+
+/// Holds every WAL append while set, and reports each append it holds, so
+/// a test can freeze a write request midway through its handler.
+struct AppendGate {
+    held: Mutex<bool>,
+    released: Condvar,
+    parked: Mutex<mpsc::Sender<()>>,
+}
+
+impl AppendGate {
+    fn pass(&self) {
+        let mut held = self.held.lock().unwrap();
+        if *held {
+            self.parked.lock().unwrap().send(()).ok();
+        }
+        while *held {
+            held = self.released.wait(held).unwrap();
+        }
+    }
+
+    fn set(&self, hold: bool) {
+        *self.held.lock().unwrap() = hold;
+        self.released.notify_all();
+    }
+}
+
+struct GatedFile {
+    inner: Arc<dyn VfsFile>,
+    gate: Arc<AppendGate>,
+}
+
+impl VfsFile for GatedFile {
+    fn append(&self, data: &[u8]) -> StorageResult<()> {
+        self.gate.pass();
+        self.inner.append(data)
+    }
+    fn sync_data(&self) -> StorageResult<()> {
+        self.inner.sync_data()
+    }
+    fn set_len(&self, len: u64) -> StorageResult<()> {
+        self.inner.set_len(len)
+    }
+}
+
+struct GatedVfs {
+    inner: SimVfs,
+    gate: Arc<AppendGate>,
+}
+
+impl GatedVfs {
+    fn wrap(&self, inner: Arc<dyn VfsFile>) -> Arc<dyn VfsFile> {
+        Arc::new(GatedFile { inner, gate: Arc::clone(&self.gate) })
+    }
+}
+
+impl Vfs for GatedVfs {
+    fn open_append(&self, path: &Path) -> StorageResult<Arc<dyn VfsFile>> {
+        self.inner.open_append(path).map(|f| self.wrap(f))
+    }
+    fn create(&self, path: &Path) -> StorageResult<Arc<dyn VfsFile>> {
+        self.inner.create(path).map(|f| self.wrap(f))
+    }
+    fn try_read(&self, path: &Path) -> StorageResult<Option<Vec<u8>>> {
+        self.inner.try_read(path)
+    }
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
+        self.inner.read_range(path, offset, len)
+    }
+    fn write(&self, path: &Path, data: &[u8]) -> StorageResult<()> {
+        self.inner.write(path, data)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> StorageResult<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> StorageResult<()> {
+        self.inner.remove_file(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> StorageResult<()> {
+        self.inner.create_dir_all(path)
+    }
+}
+
+/// A registration holds no lock that `GetPuzzle` needs while it writes:
+/// with the registrant frozen inside its store write, a puzzle request
+/// from another thread still gets its answer.
+#[test]
+fn a_registration_stuck_in_its_write_does_not_block_get_puzzle() {
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let gate = Arc::new(AppendGate {
+        held: Mutex::new(false),
+        released: Condvar::new(),
+        parked: Mutex::new(parked_tx),
+    });
+    let vfs = GatedVfs { inner: SimVfs::new(), gate: Arc::clone(&gate) };
+    let store = Store::open_with_vfs("/sim/rng-gate", StoreOptions::default(), Arc::new(vfs))
+        .expect("open sim store");
+    let db = ReputationDb::new(Arc::new(store), SecretPepper::new("rng-gate"));
+    let config = ServerConfig { puzzle_difficulty: 0, ..ServerConfig::default() };
+    let server = Arc::new(ReputationServer::new(db, Arc::new(SimClock::new()), config, 17));
+
+    gate.set(true);
+    let registrant = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let register = Request::Register {
+                username: "frozen".into(),
+                password: "pw".into(),
+                email: "frozen@x.example".into(),
+                puzzle_challenge: String::new(),
+                puzzle_solution: 0,
+            };
+            server.handle(&register, "registrant")
+        })
+    };
+    parked_rx.recv_timeout(Duration::from_secs(60)).expect("the registration reaches its write");
+
+    let (answer_tx, answer_rx) = mpsc::channel();
+    let puzzler = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            answer_tx.send(server.handle(&Request::GetPuzzle, "puzzler")).ok();
+        })
+    };
+    let answer = answer_rx.recv_timeout(Duration::from_secs(10));
+    gate.set(false);
+    let registered = registrant.join().expect("registrant thread");
+    puzzler.join().expect("puzzler thread");
+    let answer = answer.expect("GetPuzzle waited on a lock the frozen registration holds");
+    assert!(matches!(answer, Response::Puzzle { .. }), "{answer:?}");
+    assert!(matches!(registered, Response::Registered { .. }), "{registered:?}");
 }

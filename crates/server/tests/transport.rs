@@ -7,6 +7,11 @@
 //! thread-per-connection pool and, on Linux, the epoll reactor): the two
 //! front ends must be observationally equivalent at this level.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "deadlines and latency bounds on real sockets need the wall clock"
+)]
+
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;

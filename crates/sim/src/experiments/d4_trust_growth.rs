@@ -86,13 +86,13 @@ pub fn run(config: &Config) -> Result {
             TrustEngine::apply_delta(&mut typical, 1.0, at_week(week));
         }
         if week % config.sample_every == 0 || week == config.weeks {
-            let honest_mass = config.community as f64 * typical.trust;
+            let honest_mass = config.community as f64 * typical.trust();
             let attacker_mass = config.sybils as f64 * 1.0; // newcomers hold trust 1
             samples.push(WeekSample {
                 week,
                 max_reachable: TrustEngine::max_reachable(week),
-                expert: expert.trust,
-                typical: typical.trust,
+                expert: expert.trust(),
+                typical: typical.trust(),
                 attacker_share: attacker_mass / (attacker_mass + honest_mass),
             });
         }

@@ -193,16 +193,18 @@ fn prefix_of(secondary: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The primary-key bytes of an index row; rows come from a prefix scan, so
+/// the prefix is always there.
 fn primary_of<'a>(row_key: &'a [u8], secondary: &[u8]) -> &'a [u8] {
-    &row_key[prefix_of(secondary).len()..]
+    row_key.strip_prefix(prefix_of(secondary).as_slice()).unwrap_or_default()
 }
 
 fn hex_preview(bytes: &[u8]) -> String {
-    const TABLE: &[u8; 16] = b"0123456789abcdef";
     bytes
         .iter()
         .take(8)
-        .flat_map(|&b| [TABLE[(b >> 4) as usize] as char, TABLE[(b & 0xf) as usize] as char])
+        .flat_map(|&b| [b >> 4, b & 0xf])
+        .filter_map(|nibble| char::from_digit(u32::from(nibble), 16))
         .collect()
 }
 

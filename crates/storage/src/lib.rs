@@ -47,6 +47,21 @@
 //! the agent simulations, where durability is irrelevant but the API and
 //! constraint checks must match production exactly.
 
+// A panic on the request path turns one hostile frame or bad record into
+// an outage: these lints hold outside tests (every module of this crate).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod batch;
 pub mod codec;
 pub mod commit;

@@ -81,7 +81,7 @@ fn trust_engine_respects_clamp_and_weekly_cap_under_random_deltas() {
     for _ in 0..case_count(200) {
         let mut record = TrustEngine::new_user(USERS[0], Timestamp(0));
         let mut now = Timestamp(0);
-        let mut week_start_trust = record.trust;
+        let mut week_start_trust = record.trust();
         let mut current_week = now.week_index();
         for _ in 0..rng.below(60) {
             // Deltas in −5.0 .. +7.0, half-point steps; jumps of 0–10 days.
@@ -89,23 +89,23 @@ fn trust_engine_respects_clamp_and_weekly_cap_under_random_deltas() {
             now = Timestamp(now.0 + rng.below(10) * 86_400);
             if now.week_index() != current_week {
                 current_week = now.week_index();
-                week_start_trust = record.trust;
+                week_start_trust = record.trust();
             }
-            let before = record.trust;
+            let before = record.trust();
             let applied = TrustEngine::apply_delta(&mut record, delta, now);
             assert!(
-                (MIN_TRUST..=MAX_TRUST).contains(&record.trust),
+                (MIN_TRUST..=MAX_TRUST).contains(&record.trust()),
                 "trust {} escaped [{MIN_TRUST}, {MAX_TRUST}]",
-                record.trust
+                record.trust()
             );
             assert!(
-                (record.trust - before - applied).abs() < 1e-9,
+                (record.trust() - before - applied).abs() < 1e-9,
                 "apply_delta return value must equal the actual change"
             );
             assert!(
-                record.trust - week_start_trust <= WEEKLY_TRUST_GROWTH_CAP + 1e-9,
+                record.trust() - week_start_trust <= WEEKLY_TRUST_GROWTH_CAP + 1e-9,
                 "weekly growth {} exceeds the +{WEEKLY_TRUST_GROWTH_CAP} cap",
-                record.trust - week_start_trust
+                record.trust() - week_start_trust
             );
         }
     }

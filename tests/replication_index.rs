@@ -18,7 +18,7 @@ use softwareputation::storage::{
     DurabilityMode, FailAction, Fault, ReplRead, SimVfs, Store, StoreOptions, Vfs, WriteBatch,
 };
 
-#[allow(dead_code)]
+#[allow(dead_code, reason = "this binary uses a slice of the shared property helpers")]
 #[path = "support/prop.rs"]
 mod prop;
 #[path = "support/repl_oracle.rs"]

@@ -19,8 +19,10 @@
 //!    batch is atomic across trees, and every batch confirmed durable by
 //!    site `k` is present.
 
-// Shared by several test binaries; each uses a different slice of the API.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "shared by several test binaries; each uses a different slice of the API"
+)]
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

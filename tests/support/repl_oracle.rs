@@ -3,8 +3,10 @@
 //! after `from_seq`. This is how the store served a page before its sparse
 //! sequence index; the indexed read must answer exactly the same.
 
-// Shared by several test binaries; each uses a different slice of the API.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "shared by several test binaries; each uses a different slice of the API"
+)]
 
 use std::path::Path;
 

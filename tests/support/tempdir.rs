@@ -7,8 +7,10 @@
 //! drop **unless the test is panicking**, so passing runs leave nothing
 //! behind while failures keep their store directory for post-mortem.
 
-// Shared by several test binaries; each uses a different slice of the API.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "shared by several test binaries; each uses a different slice of the API"
+)]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
