@@ -58,9 +58,13 @@ measure() { # side, workload
     out="$(bash "$root/perfbench/run.sh" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0)"
     manifest="$(printf '%s\n' "$out" | tail -n 2 | head -n 1)"
     result="$(printf '%s\n' "$out" | tail -n 1)"
-    json="\"correct\": $(sed -n 's/^{"correct": \([a-z]*\).*/\1/p' <<<"$result")"
-    json+=", \"failed\": $(sed -n 's/.*"failed": \([0-9]*\).*/\1/p' <<<"$result")"
-    json+=", \"stolen_windows\": $(sed -n 's/.*"stolen_windows": \([0-9]*\).*/\1/p' <<<"$manifest")"
+    # A run that printed no result line is incorrect, with unknown counts.
+    value="$(sed -n 's/^{"correct": \([a-z]*\).*/\1/p' <<<"$result")"
+    json="\"correct\": ${value:-false}"
+    value="$(sed -n 's/.*"failed": \([0-9]*\).*/\1/p' <<<"$result")"
+    json+=", \"failed\": ${value:-null}"
+    value="$(sed -n 's/.*"stolen_windows": \([0-9]*\).*/\1/p' <<<"$manifest")"
+    json+=", \"stolen_windows\": ${value:-null}"
     while read -r name _; do
         value="$(sed -n "s/.*\"$name\": {\"value\": \([^,}]*\).*/\1/p" <<<"$result")"
         json+=", \"$name\": ${value:-null}"
