@@ -37,7 +37,8 @@
 #                                   randomized-seed exploration (the seed
 #                                   is echoed so failures replay exactly)
 #   9. concurrency bench smoke      the store_concurrent/group-commit
-#                                   benches at a tiny workload — a
+#                                   benches and the replication page
+#                                   codec at a tiny workload — a
 #                                   does-it-run check, not a measurement
 #  10. perfbench smoke              builds the repository's benchmark
 #                                   (perfbench/) and runs every workload
@@ -140,11 +141,14 @@ timeout 300 env SOFTREP_CRASH_SEED="$CRASH_SEED" \
     cargo test --offline -q --test crash_matrix randomized
 
 step "9/13 concurrency bench smoke"
-# Tiny workload: proves the mixed reader/writer and group-commit benches
-# still run, without spending CI minutes on real measurements.
-SOFTREP_BENCH_SMOKE=1 cargo bench --offline -p softrep-bench --bench storage_bench \
-    | grep -E 'store_concurrent|store_group_commit' || {
-        echo "concurrency benches produced no output"; exit 1; }
+# Tiny workload: proves the mixed reader/writer, group-commit and
+# replication page codec benches still run, without spending CI minutes
+# on real measurements. Each group must print at least one result.
+BENCH_OUT="$(SOFTREP_BENCH_SMOKE=1 cargo bench --offline -p softrep-bench --bench storage_bench)"
+for group in store_concurrent store_group_commit repl_page_codec; do
+    printf '%s\n' "$BENCH_OUT" | grep -E "^bench $group/" || {
+        echo "bench group $group produced no output"; exit 1; }
+done
 
 step "10/13 perfbench smoke (every workload, end to end and traced)"
 # perfbench compiles against the crates' public items (DESIGN.md §16), so

@@ -8,10 +8,11 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use softrep_core::bootstrap::BootstrapEntry;
 use softrep_core::clock::Timestamp;
 use softrep_core::db::ReputationDb;
+use softrep_proto::{ReplEntry, Response};
 use softrep_storage::wal::Wal;
 use softrep_storage::{DurabilityMode, Store, StoreOptions, WriteBatch};
 
@@ -345,6 +346,36 @@ fn bench_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
+/// One replication page through the wire codec: the primary's
+/// `Response::encode` and the replica's `Response::decode` of a
+/// `ReplEntries` page (DESIGN.md §15). 256 entries of 240 pseudo-random
+/// bytes — about 62 KiB of WAL batches, 122 KiB of XML once hex-encoded —
+/// is the shape replica catch-up ships; the smoke run uses 16 entries.
+fn bench_repl_page_codec(c: &mut Criterion) {
+    let entries_per_page: u64 = if smoke() { 16 } else { 256 };
+    let mut rng = StdRng::seed_from_u64(30);
+    let page = Response::ReplEntries {
+        committed_seq: 57_003,
+        backlog_bytes: 13_000_000,
+        entries: (0..entries_per_page)
+            .map(|i| ReplEntry {
+                seq: 1_000 + i,
+                batch: (0..240).map(|_| rng.gen::<u8>()).collect(),
+            })
+            .collect(),
+    };
+    let doc = page.encode();
+    let mut group = c.benchmark_group("repl_page_codec");
+    group.throughput(Throughput::Bytes(doc.len() as u64));
+    group.bench_function(format!("encode_{entries_per_page}_entries"), |b| {
+        b.iter(|| black_box(&page).encode())
+    });
+    group.bench_function(format!("decode_{entries_per_page}_entries"), |b| {
+        b.iter(|| Response::decode(black_box(&doc)).unwrap())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_store_writes,
@@ -352,6 +383,7 @@ criterion_group!(
     bench_scans,
     bench_concurrent_reads,
     bench_group_commit,
-    bench_aggregation
+    bench_aggregation,
+    bench_repl_page_codec
 );
 criterion_main!(benches);

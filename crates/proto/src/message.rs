@@ -375,30 +375,48 @@ fn required_attr_parse<T: std::str::FromStr>(
 /// chunks). Hex is XML-safe — no escaping interactions — at a 2× size
 /// cost the replication page limits already budget for.
 fn hex_encode(bytes: &[u8]) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
+    let mut out = vec![0u8; bytes.len() * 2];
+    for (pair, &b) in out.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+        pair[1] = HEX_DIGITS[usize::from(b & 0x0f)];
     }
-    out
+    // Never falls back: every byte is an ASCII digit.
+    String::from_utf8(out).unwrap_or_default()
 }
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Nibble value of each byte; 0xff marks a byte that is not a hex digit
+/// (either case is accepted).
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
 
 fn hex_decode(text: &str) -> Result<Vec<u8>, MessageError> {
     let raw = text.as_bytes();
     if !raw.len().is_multiple_of(2) {
         return Err(MessageError("hex payload has odd length".into()));
     }
-    fn nibble(c: u8) -> Result<u8, MessageError> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            _ => Err(MessageError("invalid hex digit in payload".into())),
-        }
-    }
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for pair in raw.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
+    // Decode every pair, OR-ing the nibbles into `seen`, and judge once:
+    // a non-digit sets the high bit that no digit's value has.
+    let mut seen = 0u8;
+    let out = raw
+        .chunks_exact(2)
+        .map(|pair| {
+            let (hi, lo) = (HEX_VALUES[usize::from(pair[0])], HEX_VALUES[usize::from(pair[1])]);
+            seen |= hi | lo;
+            (hi << 4) | lo
+        })
+        .collect();
+    if seen & 0x80 != 0 {
+        return Err(MessageError("invalid hex digit in payload".into()));
     }
     Ok(out)
 }
@@ -429,29 +447,21 @@ impl Request {
                 .attr("type", "query-software")
                 .text_child("software-id", software_id),
             Request::RegisterSoftware { software_id, file_name, file_size, company, version } => {
-                let mut node = XmlNode::new("request")
+                XmlNode::new("request")
                     .attr("type", "register-software")
                     .text_child("software-id", software_id)
                     .text_child("file-name", file_name)
-                    .text_child("file-size", file_size.to_string());
-                if let Some(c) = company {
-                    node = node.text_child("company", c);
-                }
-                if let Some(v) = version {
-                    node = node.text_child("version", v);
-                }
-                node
+                    .text_child("file-size", file_size.to_string())
+                    .opt_text_child("company", company.as_deref())
+                    .opt_text_child("version", version.as_deref())
             }
             Request::SubmitVote { session, software_id, score, behaviours } => {
-                let mut node = XmlNode::new("request")
+                XmlNode::new("request")
                     .attr("type", "submit-vote")
                     .text_child("session", session)
                     .text_child("software-id", software_id)
-                    .text_child("score", score.to_string());
-                for b in behaviours {
-                    node = node.text_child("behaviour", b);
-                }
-                node
+                    .text_child("score", score.to_string())
+                    .text_children("behaviour", behaviours)
             }
             Request::SubmitComment { session, software_id, text } => XmlNode::new("request")
                 .attr("type", "submit-comment")
@@ -470,31 +480,25 @@ impl Request {
                 .attr("type", "query-details")
                 .text_child("software-id", software_id),
             Request::SubmitEvidence { analyzer_token, software_id, behaviours, analyzer } => {
-                let mut node = XmlNode::new("request")
+                XmlNode::new("request")
                     .attr("type", "submit-evidence")
                     .text_child("analyzer-token", analyzer_token)
                     .text_child("software-id", software_id)
-                    .text_child("analyzer", analyzer);
-                for b in behaviours {
-                    node = node.text_child("behaviour", b);
-                }
-                node
+                    .text_child("analyzer", analyzer)
+                    .text_children("behaviour", behaviours)
             }
             Request::CreateFeed { session, name } => XmlNode::new("request")
                 .attr("type", "create-feed")
                 .text_child("session", session)
                 .text_child("name", name),
             Request::PublishFeedEntry { session, feed, software_id, rating, behaviours } => {
-                let mut node = XmlNode::new("request")
+                XmlNode::new("request")
                     .attr("type", "publish-feed-entry")
                     .text_child("session", session)
                     .text_child("feed", feed)
                     .text_child("software-id", software_id)
-                    .text_child("rating", format!("{rating:.4}"));
-                for b in behaviours {
-                    node = node.text_child("behaviour", b);
-                }
-                node
+                    .text_child("rating", format!("{rating:.4}"))
+                    .text_children("behaviour", behaviours)
             }
             Request::QueryFeedEntry { feed, software_id } => XmlNode::new("request")
                 .attr("type", "query-feed-entry")
@@ -692,38 +696,24 @@ impl Response {
                 XmlNode::new("response").attr("status", "session").text_child("token", token)
             }
             Response::Software(info) => {
-                let mut node = XmlNode::new("response")
+                let comments = info.comments.iter().map(|c| {
+                    XmlNode::new("comment")
+                        .attr("id", c.id.to_string())
+                        .attr("author", &c.author)
+                        .attr("remarks", c.remark_score.to_string())
+                        .with_text(c.text.clone())
+                });
+                XmlNode::new("response")
                     .attr("status", "software")
                     .text_child("software-id", &info.software_id)
-                    .text_child("vote-count", info.vote_count.to_string());
-                if let Some(f) = &info.file_name {
-                    node = node.text_child("file-name", f);
-                }
-                if let Some(c) = &info.company {
-                    node = node.text_child("company", c);
-                }
-                if let Some(v) = &info.version {
-                    node = node.text_child("version", v);
-                }
-                if let Some(r) = info.rating {
-                    node = node.text_child("rating", format!("{r:.4}"));
-                }
-                for b in &info.behaviours {
-                    node = node.text_child("behaviour", b);
-                }
-                for b in &info.verified_behaviours {
-                    node = node.text_child("verified-behaviour", b);
-                }
-                for c in &info.comments {
-                    node = node.child(
-                        XmlNode::new("comment")
-                            .attr("id", c.id.to_string())
-                            .attr("author", &c.author)
-                            .attr("remarks", c.remark_score.to_string())
-                            .with_text(c.text.clone()),
-                    );
-                }
-                node
+                    .text_child("vote-count", info.vote_count.to_string())
+                    .opt_text_child("file-name", info.file_name.as_deref())
+                    .opt_text_child("company", info.company.as_deref())
+                    .opt_text_child("version", info.version.as_deref())
+                    .opt_text_child("rating", info.rating.map(|r| format!("{r:.4}")))
+                    .text_children("behaviour", &info.behaviours)
+                    .text_children("verified-behaviour", &info.verified_behaviours)
+                    .children(comments)
             }
             Response::UnknownSoftware { software_id } => XmlNode::new("response")
                 .attr("status", "unknown-software")
@@ -736,39 +726,28 @@ impl Response {
                 .attr("status", "blind-signature")
                 .text_child("value", value),
             Response::FeedEntry { feed, software_id, rating, behaviours } => {
-                let mut node = XmlNode::new("response")
+                XmlNode::new("response")
                     .attr("status", "feed-entry")
                     .text_child("feed", feed)
                     .text_child("software-id", software_id)
-                    .text_child("rating", format!("{rating:.4}"));
-                for b in behaviours {
-                    node = node.text_child("behaviour", b);
-                }
-                node
+                    .text_child("rating", format!("{rating:.4}"))
+                    .text_children("behaviour", behaviours)
             }
-            Response::Vendor { vendor, rating, software_count } => {
-                let mut node = XmlNode::new("response")
-                    .attr("status", "vendor")
-                    .text_child("vendor", vendor)
-                    .text_child("software-count", software_count.to_string());
-                if let Some(r) = rating {
-                    node = node.text_child("rating", format!("{r:.4}"));
-                }
-                node
-            }
+            Response::Vendor { vendor, rating, software_count } => XmlNode::new("response")
+                .attr("status", "vendor")
+                .text_child("vendor", vendor)
+                .text_child("software-count", software_count.to_string())
+                .opt_text_child("rating", rating.map(|r| format!("{r:.4}"))),
             Response::ReplEntries { committed_seq, backlog_bytes, entries } => {
-                let mut node = XmlNode::new("response")
+                XmlNode::new("response")
                     .attr("status", "repl-entries")
                     .attr("committed-seq", committed_seq.to_string())
-                    .attr("backlog-bytes", backlog_bytes.to_string());
-                for e in entries {
-                    node = node.child(
+                    .attr("backlog-bytes", backlog_bytes.to_string())
+                    .children(entries.iter().map(|e| {
                         XmlNode::new("entry")
                             .attr("seq", e.seq.to_string())
-                            .with_text(hex_encode(&e.batch)),
-                    );
-                }
-                node
+                            .with_text(hex_encode(&e.batch))
+                    }))
             }
             Response::ReplSnapshotChunk { seq, offset, total_len, data } => {
                 XmlNode::new("response")

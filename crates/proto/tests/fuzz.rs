@@ -1,10 +1,85 @@
 //! Fuzz-style robustness: the protocol layer must never panic on hostile
-//! input — it faces the network directly.
+//! input — it faces the network directly. Alongside: round-trip
+//! properties of the codec kernels (escape, text scan, hex) against
+//! per-character and per-byte oracles, on inputs up to hundreds of KiB.
 
 use proptest::prelude::*;
 
 use softrep_proto::framing::read_frame;
-use softrep_proto::{Request, Response, XmlNode};
+use softrep_proto::{ReplEntry, Request, Response, XmlNode};
+
+fn escapable() -> impl Strategy<Value = char> {
+    prop_oneof![Just('&'), Just('<'), Just('>'), Just('"'), Just('\'')]
+}
+
+fn printable() -> impl Strategy<Value = char> {
+    prop_oneof![
+        (0x20u8..0x7f).prop_map(char::from),
+        any::<char>().prop_filter("no control chars", |c| !c.is_control()),
+    ]
+}
+
+/// Short text of single characters, escapable ones dense.
+fn short_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(prop_oneof![printable(), escapable()], 0..40)
+        .prop_map(|chars| chars.into_iter().collect::<String>())
+}
+
+/// Long text: 16–24 clean runs of up to 8 Ki repeats of one printable
+/// character, each followed by a few arbitrary and escapable characters.
+/// Almost every draw is past 64 KiB.
+fn long_text() -> impl Strategy<Value = String> {
+    let run = (printable(), 0usize..8192, short_text());
+    proptest::collection::vec(run, 16..=24).prop_map(|runs| {
+        let mut text = String::new();
+        for (c, repeats, tail) in runs {
+            text.extend(std::iter::repeat_n(c, repeats));
+            text.push_str(&tail);
+        }
+        text
+    })
+}
+
+/// Character data is trimmed on parse, so generated text starts and ends
+/// on non-whitespace to round-trip exactly.
+fn xml_text() -> impl Strategy<Value = String> {
+    prop_oneof![short_text(), long_text()].prop_map(|s| s.trim().to_string())
+}
+
+/// The escape rule as a one-character-at-a-time oracle.
+fn escaped(text: &str) -> String {
+    text.chars()
+        .map(|c| match c {
+            '&' => "&amp;".to_string(),
+            '<' => "&lt;".to_string(),
+            '>' => "&gt;".to_string(),
+            '"' => "&quot;".to_string(),
+            '\'' => "&apos;".to_string(),
+            other => other.to_string(),
+        })
+        .collect()
+}
+
+/// A snapshot-chunk document carrying `payload` as its (escaped) text.
+fn chunk_document(payload: &str) -> String {
+    XmlNode::new("response")
+        .attr("status", "repl-snapshot-chunk")
+        .attr("seq", "1")
+        .attr("offset", "0")
+        .attr("total-len", "1")
+        .with_text(payload)
+        .to_document()
+}
+
+fn hex(data: &[u8], upper: &[bool]) -> String {
+    data.iter()
+        .enumerate()
+        .map(|(i, b)| match upper.get(i) {
+            Some(true) => format!("{b:02X}"),
+            _ => format!("{b:02x}"),
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -67,6 +142,33 @@ proptest! {
     }
 
     #[test]
+    fn uppercase_hex_digits_decode_like_lowercase(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        upper in proptest::collection::vec(any::<bool>(), 0..4096),
+    ) {
+        let expected = Response::ReplSnapshotChunk { seq: 1, offset: 0, total_len: 1, data: data.clone() };
+        let all_upper = vec![true; data.len()];
+        for doc in [chunk_document(&hex(&data, &upper)), chunk_document(&hex(&data, &all_upper))] {
+            prop_assert_eq!(Response::decode(&doc).unwrap(), expected.clone());
+        }
+    }
+
+    #[test]
+    fn non_hex_bytes_and_odd_lengths_are_rejected(
+        data in proptest::collection::vec(any::<u8>(), 1..512),
+        at: usize,
+        bad in any::<char>().prop_filter("not a hex digit", |c| !c.is_ascii_hexdigit()),
+    ) {
+        let good = hex(&data, &[]);
+        let at = at % good.len();
+        let mut corrupt = good.clone();
+        corrupt.replace_range(at..=at, &bad.to_string());
+        prop_assert!(Response::decode(&chunk_document(&corrupt)).is_err(), "accepted {:?}", bad);
+        let err = Response::decode(&chunk_document(&good[1..])).unwrap_err();
+        prop_assert_eq!(err.to_string(), "protocol message error: hex payload has odd length");
+    }
+
+    #[test]
     fn request_roundtrip_is_total_for_generated_requests(
         username in "[a-zA-Z0-9_-]{1,16}",
         text in "[a-zA-Z0-9 <>&\"'.,!?]{0,64}",
@@ -121,6 +223,54 @@ proptest! {
             }
         }
     }
+}
+
+// The codec kernels on long inputs. Each case moves up to a few hundred
+// KiB through the debug-built codec, so these run fewer cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn xml_text_and_attributes_roundtrip_and_escape_per_character(
+        text in xml_text(),
+        attr in xml_text(),
+    ) {
+        let node = XmlNode::new("n").attr("a", attr.clone()).with_text(text.clone());
+        let doc = node.to_document();
+        let body = if text.is_empty() { "/>".to_string() } else { format!(">{}</n>", escaped(&text)) };
+        let expected = format!("<?xml version=\"1.0\" encoding=\"UTF-8\"?><n a=\"{}\"{body}", escaped(&attr));
+        prop_assert!(doc == expected, "escape differs from the per-character rule");
+        let parsed = XmlNode::parse(&doc).unwrap();
+        prop_assert_eq!(parsed.get_attr("a").unwrap(), attr.as_str());
+        prop_assert_eq!(parsed.text, text);
+    }
+
+    #[test]
+    fn hex_payloads_roundtrip_up_to_64_kib(
+        data in proptest::collection::vec(any::<u8>(), 0..=65_536),
+        split: usize,
+    ) {
+        let chunk = Response::ReplSnapshotChunk {
+            seq: 3,
+            offset: 0,
+            total_len: data.len() as u64,
+            data: data.clone(),
+        };
+        let doc = chunk.encode();
+        prop_assert!(doc.contains(&hex(&data, &[])), "payload is not lowercase hex of the bytes");
+        prop_assert_eq!(Response::decode(&doc).unwrap(), chunk);
+        let cut = split % (data.len() + 1);
+        let page = Response::ReplEntries {
+            committed_seq: 2,
+            backlog_bytes: 0,
+            entries: vec![
+                ReplEntry { seq: 1, batch: data[..cut].to_vec() },
+                ReplEntry { seq: 2, batch: data[cut..].to_vec() },
+            ],
+        };
+        prop_assert_eq!(Response::decode(&page.encode()).unwrap(), page);
+    }
+
 }
 
 #[test]

@@ -20,11 +20,12 @@
 //! requests 400. No cookies, no forms, no state: the web UI is read-only
 //! by design — writes go through the authenticated XML protocol.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::handler::ReputationServer;
 
@@ -334,10 +335,12 @@ impl WebServer {
                             let _ = serve_connection(&server, stream);
                         });
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
+                    Err(e) => {
+                        match accept_retry_delay(&e, accept_shutdown.load(Ordering::SeqCst)) {
+                            Some(delay) => std::thread::sleep(delay),
+                            None => break,
+                        }
                     }
-                    Err(_) => break,
                 }
             }
         });
@@ -366,6 +369,25 @@ impl Drop for WebServer {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// How long the accept loop waits after `accept` fails before accepting
+/// again, or `None` to end the loop. Only shutdown ends it: an aborted
+/// handshake, a signal or a full fd table is transient, and ending the
+/// loop would leave the port refusing connections (`/metrics` scrapes
+/// included) for the rest of the process.
+fn accept_retry_delay(err: &std::io::Error, shutting_down: bool) -> Option<Duration> {
+    if shutting_down {
+        return None;
+    }
+    Some(match err.kind() {
+        ErrorKind::Interrupted | ErrorKind::ConnectionAborted => Duration::ZERO,
+        // The listener is nonblocking: nobody is waiting.
+        ErrorKind::WouldBlock => Duration::from_millis(5),
+        // Resource exhaustion (fds, memory, buffers) and anything else:
+        // back off so the loop does not spin while it lasts.
+        _ => Duration::from_millis(50),
+    })
 }
 
 fn serve_connection(server: &ReputationServer, stream: TcpStream) -> std::io::Result<()> {
@@ -600,6 +622,35 @@ mod tests {
         assert_eq!(url_decode("%4"), "%4");
         assert_eq!(url_decode("%%41"), "%A");
         assert_eq!(url_decode(""), "");
+    }
+
+    #[test]
+    fn accept_errors_back_off_and_only_shutdown_ends_the_loop() {
+        let transient = [
+            std::io::Error::from(ErrorKind::ConnectionAborted),
+            std::io::Error::from(ErrorKind::Interrupted),
+            std::io::Error::from(ErrorKind::WouldBlock),
+            std::io::Error::from(ErrorKind::OutOfMemory),
+            // EMFILE and ENFILE (per-process and system fd tables full)
+            // and ENOBUFS, as Linux's accept(2) reports them.
+            std::io::Error::from_raw_os_error(24),
+            std::io::Error::from_raw_os_error(23),
+            std::io::Error::from_raw_os_error(105),
+            std::io::Error::other("anything else"),
+        ];
+        for err in &transient {
+            let delay = accept_retry_delay(err, false);
+            assert!(
+                delay.is_some_and(|d| d <= Duration::from_millis(50)),
+                "{err} must keep the loop accepting, got {delay:?}"
+            );
+            assert_eq!(accept_retry_delay(err, true), None, "{err} during shutdown");
+        }
+        assert_eq!(
+            accept_retry_delay(&std::io::Error::from(ErrorKind::ConnectionAborted), false),
+            Some(Duration::ZERO),
+            "an aborted handshake retries at once"
+        );
     }
 
     #[test]
