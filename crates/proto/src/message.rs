@@ -380,8 +380,7 @@ fn hex_encode(bytes: &[u8]) -> String {
         pair[0] = HEX_DIGITS[usize::from(b >> 4)];
         pair[1] = HEX_DIGITS[usize::from(b & 0x0f)];
     }
-    // Never falls back: every byte is an ASCII digit.
-    String::from_utf8(out).unwrap_or_default()
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";

@@ -172,10 +172,10 @@ const DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
 /// Bit `b` is set for each byte `b` that is written as an entity.
 const ESCAPED: u64 = 1 << b'&' | 1 << b'<' | 1 << b'>' | 1 << b'"' | 1 << b'\'';
 
-/// Copies each run of clean text with one `push_str`. The test for an
-/// escapable byte is one mask lookup, so it costs the same whatever the
-/// text (a `match` became a compare tree that mispredicted on hex). The
-/// five bytes are ASCII, so every cut falls on a char boundary.
+/// Copies each run of clean text with one `push_str`. Finding the next
+/// escapable byte is one mask test per byte: a `match` compiles to a
+/// compare tree whose branches mispredict on random hex digits. The five
+/// bytes are ASCII, so every cut falls on a char boundary.
 fn escape_into(text: &str, out: &mut String) {
     let mut rest = text;
     while let Some(i) = rest.bytes().position(|b| b < 64 && ESCAPED >> b & 1 == 1) {

@@ -335,12 +335,7 @@ impl WebServer {
                             let _ = serve_connection(&server, stream);
                         });
                     }
-                    Err(e) => {
-                        match accept_retry_delay(&e, accept_shutdown.load(Ordering::SeqCst)) {
-                            Some(delay) => std::thread::sleep(delay),
-                            None => break,
-                        }
-                    }
+                    Err(e) => std::thread::sleep(accept_backoff(&e)),
                 }
             }
         });
@@ -372,22 +367,19 @@ impl Drop for WebServer {
 }
 
 /// How long the accept loop waits after `accept` fails before accepting
-/// again, or `None` to end the loop. Only shutdown ends it: an aborted
-/// handshake, a signal or a full fd table is transient, and ending the
+/// again. No error ends the loop, only shutdown does: an aborted
+/// handshake, a signal or a full fd table is transient, and leaving the
 /// loop would leave the port refusing connections (`/metrics` scrapes
 /// included) for the rest of the process.
-fn accept_retry_delay(err: &std::io::Error, shutting_down: bool) -> Option<Duration> {
-    if shutting_down {
-        return None;
-    }
-    Some(match err.kind() {
+fn accept_backoff(err: &std::io::Error) -> Duration {
+    match err.kind() {
         ErrorKind::Interrupted | ErrorKind::ConnectionAborted => Duration::ZERO,
         // The listener is nonblocking: nobody is waiting.
         ErrorKind::WouldBlock => Duration::from_millis(5),
         // Resource exhaustion (fds, memory, buffers) and anything else:
         // back off so the loop does not spin while it lasts.
         _ => Duration::from_millis(50),
-    })
+    }
 }
 
 fn serve_connection(server: &ReputationServer, stream: TcpStream) -> std::io::Result<()> {
@@ -625,8 +617,8 @@ mod tests {
     }
 
     #[test]
-    fn accept_errors_back_off_and_only_shutdown_ends_the_loop() {
-        let transient = [
+    fn accept_errors_back_off_briefly_and_keep_accepting() {
+        let errors = [
             std::io::Error::from(ErrorKind::ConnectionAborted),
             std::io::Error::from(ErrorKind::Interrupted),
             std::io::Error::from(ErrorKind::WouldBlock),
@@ -638,19 +630,13 @@ mod tests {
             std::io::Error::from_raw_os_error(105),
             std::io::Error::other("anything else"),
         ];
-        for err in &transient {
-            let delay = accept_retry_delay(err, false);
-            assert!(
-                delay.is_some_and(|d| d <= Duration::from_millis(50)),
-                "{err} must keep the loop accepting, got {delay:?}"
-            );
-            assert_eq!(accept_retry_delay(err, true), None, "{err} during shutdown");
+        for err in &errors {
+            let delay = accept_backoff(err);
+            assert!(delay <= Duration::from_millis(50), "{err} backs off {delay:?}");
         }
-        assert_eq!(
-            accept_retry_delay(&std::io::Error::from(ErrorKind::ConnectionAborted), false),
-            Some(Duration::ZERO),
-            "an aborted handshake retries at once"
-        );
+        for kind in [ErrorKind::ConnectionAborted, ErrorKind::Interrupted] {
+            assert_eq!(accept_backoff(&kind.into()), Duration::ZERO, "{kind:?} retries at once");
+        }
     }
 
     #[test]
