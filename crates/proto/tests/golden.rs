@@ -21,8 +21,12 @@ use softrep_proto::{ReplEntry, Request, Response, XmlNode};
 /// tab, a carriage return and a control character, between clean runs.
 const NASTY: &str = "a&b<c>d\"e'f && <<>> \"'\" Högskola — 評価 ✓ 🦀\ttab\rcr\u{1}ctl";
 
+fn corpus_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
 fn corpus_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.xml"))
+    corpus_dir().join(format!("{name}.xml"))
 }
 
 fn golden(name: &str) -> String {
@@ -297,7 +301,7 @@ fn every_golden_file_belongs_to_a_case() {
     let mut named: Vec<String> = requests().into_iter().map(|(n, _)| n.to_string()).collect();
     named.extend(responses().into_iter().map(|(n, _)| n.to_string()));
     named.extend(trimmed().into_iter().map(|(n, _, _)| n.to_string()));
-    let dir = corpus_path("x").parent().unwrap().to_path_buf();
+    let dir = corpus_dir();
     for entry in std::fs::read_dir(&dir).unwrap() {
         let file = entry.unwrap().file_name().into_string().unwrap();
         let stem = file.strip_suffix(".xml").unwrap_or(&file);
