@@ -446,21 +446,29 @@ impl Request {
                 .attr("type", "query-software")
                 .text_child("software-id", software_id),
             Request::RegisterSoftware { software_id, file_name, file_size, company, version } => {
-                XmlNode::new("request")
+                let mut node = XmlNode::new("request")
                     .attr("type", "register-software")
                     .text_child("software-id", software_id)
                     .text_child("file-name", file_name)
-                    .text_child("file-size", file_size.to_string())
-                    .opt_text_child("company", company.as_deref())
-                    .opt_text_child("version", version.as_deref())
+                    .text_child("file-size", file_size.to_string());
+                if let Some(c) = company {
+                    node = node.text_child("company", c);
+                }
+                if let Some(v) = version {
+                    node = node.text_child("version", v);
+                }
+                node
             }
             Request::SubmitVote { session, software_id, score, behaviours } => {
-                XmlNode::new("request")
+                let mut node = XmlNode::new("request")
                     .attr("type", "submit-vote")
                     .text_child("session", session)
                     .text_child("software-id", software_id)
-                    .text_child("score", score.to_string())
-                    .text_children("behaviour", behaviours)
+                    .text_child("score", score.to_string());
+                for b in behaviours {
+                    node = node.text_child("behaviour", b);
+                }
+                node
             }
             Request::SubmitComment { session, software_id, text } => XmlNode::new("request")
                 .attr("type", "submit-comment")
@@ -479,25 +487,31 @@ impl Request {
                 .attr("type", "query-details")
                 .text_child("software-id", software_id),
             Request::SubmitEvidence { analyzer_token, software_id, behaviours, analyzer } => {
-                XmlNode::new("request")
+                let mut node = XmlNode::new("request")
                     .attr("type", "submit-evidence")
                     .text_child("analyzer-token", analyzer_token)
                     .text_child("software-id", software_id)
-                    .text_child("analyzer", analyzer)
-                    .text_children("behaviour", behaviours)
+                    .text_child("analyzer", analyzer);
+                for b in behaviours {
+                    node = node.text_child("behaviour", b);
+                }
+                node
             }
             Request::CreateFeed { session, name } => XmlNode::new("request")
                 .attr("type", "create-feed")
                 .text_child("session", session)
                 .text_child("name", name),
             Request::PublishFeedEntry { session, feed, software_id, rating, behaviours } => {
-                XmlNode::new("request")
+                let mut node = XmlNode::new("request")
                     .attr("type", "publish-feed-entry")
                     .text_child("session", session)
                     .text_child("feed", feed)
                     .text_child("software-id", software_id)
-                    .text_child("rating", format!("{rating:.4}"))
-                    .text_children("behaviour", behaviours)
+                    .text_child("rating", format!("{rating:.4}"));
+                for b in behaviours {
+                    node = node.text_child("behaviour", b);
+                }
+                node
             }
             Request::QueryFeedEntry { feed, software_id } => XmlNode::new("request")
                 .attr("type", "query-feed-entry")
@@ -695,24 +709,38 @@ impl Response {
                 XmlNode::new("response").attr("status", "session").text_child("token", token)
             }
             Response::Software(info) => {
-                let comments = info.comments.iter().map(|c| {
-                    XmlNode::new("comment")
-                        .attr("id", c.id.to_string())
-                        .attr("author", &c.author)
-                        .attr("remarks", c.remark_score.to_string())
-                        .with_text(c.text.clone())
-                });
-                XmlNode::new("response")
+                let mut node = XmlNode::new("response")
                     .attr("status", "software")
                     .text_child("software-id", &info.software_id)
-                    .text_child("vote-count", info.vote_count.to_string())
-                    .opt_text_child("file-name", info.file_name.as_deref())
-                    .opt_text_child("company", info.company.as_deref())
-                    .opt_text_child("version", info.version.as_deref())
-                    .opt_text_child("rating", info.rating.map(|r| format!("{r:.4}")))
-                    .text_children("behaviour", &info.behaviours)
-                    .text_children("verified-behaviour", &info.verified_behaviours)
-                    .children(comments)
+                    .text_child("vote-count", info.vote_count.to_string());
+                if let Some(f) = &info.file_name {
+                    node = node.text_child("file-name", f);
+                }
+                if let Some(c) = &info.company {
+                    node = node.text_child("company", c);
+                }
+                if let Some(v) = &info.version {
+                    node = node.text_child("version", v);
+                }
+                if let Some(r) = info.rating {
+                    node = node.text_child("rating", format!("{r:.4}"));
+                }
+                for b in &info.behaviours {
+                    node = node.text_child("behaviour", b);
+                }
+                for b in &info.verified_behaviours {
+                    node = node.text_child("verified-behaviour", b);
+                }
+                for c in &info.comments {
+                    node = node.child(
+                        XmlNode::new("comment")
+                            .attr("id", c.id.to_string())
+                            .attr("author", &c.author)
+                            .attr("remarks", c.remark_score.to_string())
+                            .with_text(c.text.clone()),
+                    );
+                }
+                node
             }
             Response::UnknownSoftware { software_id } => XmlNode::new("response")
                 .attr("status", "unknown-software")
@@ -725,28 +753,39 @@ impl Response {
                 .attr("status", "blind-signature")
                 .text_child("value", value),
             Response::FeedEntry { feed, software_id, rating, behaviours } => {
-                XmlNode::new("response")
+                let mut node = XmlNode::new("response")
                     .attr("status", "feed-entry")
                     .text_child("feed", feed)
                     .text_child("software-id", software_id)
-                    .text_child("rating", format!("{rating:.4}"))
-                    .text_children("behaviour", behaviours)
+                    .text_child("rating", format!("{rating:.4}"));
+                for b in behaviours {
+                    node = node.text_child("behaviour", b);
+                }
+                node
             }
-            Response::Vendor { vendor, rating, software_count } => XmlNode::new("response")
-                .attr("status", "vendor")
-                .text_child("vendor", vendor)
-                .text_child("software-count", software_count.to_string())
-                .opt_text_child("rating", rating.map(|r| format!("{r:.4}"))),
+            Response::Vendor { vendor, rating, software_count } => {
+                let mut node = XmlNode::new("response")
+                    .attr("status", "vendor")
+                    .text_child("vendor", vendor)
+                    .text_child("software-count", software_count.to_string());
+                if let Some(r) = rating {
+                    node = node.text_child("rating", format!("{r:.4}"));
+                }
+                node
+            }
             Response::ReplEntries { committed_seq, backlog_bytes, entries } => {
-                XmlNode::new("response")
+                let mut node = XmlNode::new("response")
                     .attr("status", "repl-entries")
                     .attr("committed-seq", committed_seq.to_string())
-                    .attr("backlog-bytes", backlog_bytes.to_string())
-                    .children(entries.iter().map(|e| {
+                    .attr("backlog-bytes", backlog_bytes.to_string());
+                for e in entries {
+                    node = node.child(
                         XmlNode::new("entry")
                             .attr("seq", e.seq.to_string())
-                            .with_text(hex_encode(&e.batch))
-                    }))
+                            .with_text(hex_encode(&e.batch)),
+                    );
+                }
+                node
             }
             Response::ReplSnapshotChunk { seq, offset, total_len, data } => {
                 XmlNode::new("response")

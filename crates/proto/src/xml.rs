@@ -69,22 +69,6 @@ impl XmlNode {
         self.child(XmlNode::new(name).with_text(text))
     }
 
-    /// Builder: add each of `children` in order.
-    pub fn children(mut self, children: impl IntoIterator<Item = XmlNode>) -> Self {
-        self.children.extend(children);
-        self
-    }
-
-    /// Builder: add one text-only child named `name` per item of `texts`.
-    pub fn text_children(self, name: &str, texts: impl IntoIterator<Item: Into<String>>) -> Self {
-        texts.into_iter().fold(self, |node, text| node.text_child(name, text))
-    }
-
-    /// Builder: add a text-only child when `text` is present.
-    pub fn opt_text_child(self, name: &str, text: Option<impl Into<String>>) -> Self {
-        text.into_iter().fold(self, |node, text| node.text_child(name, text))
-    }
-
     /// Builder: set this element's text content.
     pub fn with_text(mut self, text: impl Into<String>) -> Self {
         self.text = text.into();
@@ -211,12 +195,8 @@ impl<'a> Parser<'a> {
         XmlError { message: message.into(), offset: self.pos }
     }
 
-    fn bytes(&self) -> &'a [u8] {
-        self.input.as_bytes()
-    }
-
     fn peek(&self) -> Option<u8> {
-        self.bytes().get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -236,7 +216,7 @@ impl<'a> Parser<'a> {
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.bytes()[self.pos..].starts_with(s.as_bytes())
+        self.input.as_bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn skip_whitespace(&mut self) {
@@ -249,7 +229,7 @@ impl<'a> Parser<'a> {
         if !self.starts_with("<?xml") {
             return Ok(());
         }
-        match self.bytes()[self.pos..].windows(2).position(|w| w == b"?>") {
+        match self.input.as_bytes()[self.pos..].windows(2).position(|w| w == b"?>") {
             Some(rel) => {
                 self.pos += rel + 2;
                 Ok(())
@@ -261,7 +241,7 @@ impl<'a> Parser<'a> {
     fn parse_name(&mut self) -> Result<String, XmlError> {
         let start = self.pos;
         let is_name = |b: &&u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':');
-        self.pos += self.bytes()[start..].iter().take_while(is_name).count();
+        self.pos += self.input.as_bytes()[start..].iter().take_while(is_name).count();
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
@@ -344,7 +324,7 @@ impl<'a> Parser<'a> {
     fn parse_text_until(&mut self, stop: u8, out: &mut String) -> Result<(), XmlError> {
         loop {
             let start = self.pos;
-            let rest = &self.bytes()[start..];
+            let rest = &self.input.as_bytes()[start..];
             self.pos += rest.iter().position(|&b| b == stop || b == b'&').unwrap_or(rest.len());
             let run = self
                 .input

@@ -20,7 +20,7 @@
 //! requests 400. No cookies, no forms, no state: the web UI is read-only
 //! by design — writes go through the authenticated XML protocol.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -327,17 +327,13 @@ impl WebServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_thread = std::thread::spawn(move || {
-            while !accept_shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let server = Arc::clone(&server);
-                        std::thread::spawn(move || {
-                            let _ = serve_connection(&server, stream);
-                        });
-                    }
-                    Err(e) => std::thread::sleep(accept_backoff(&e)),
-                }
-            }
+            let accept = || listener.accept().map(|(stream, _peer)| stream);
+            accept_loop(&accept_shutdown, accept, |stream| {
+                let server = Arc::clone(&server);
+                std::thread::spawn(move || {
+                    let _ = serve_connection(&server, stream);
+                });
+            });
         });
         Ok(WebServer { local_addr, shutdown, accept_thread: Some(accept_thread) })
     }
@@ -366,19 +362,22 @@ impl Drop for WebServer {
     }
 }
 
-/// How long the accept loop waits after `accept` fails before accepting
-/// again. No error ends the loop, only shutdown does: an aborted
+/// Accept until `shutdown` is set, handing each connection to `serve`.
+/// No accept error ends the loop, only shutdown does: an aborted
 /// handshake, a signal or a full fd table is transient, and leaving the
 /// loop would leave the port refusing connections (`/metrics` scrapes
-/// included) for the rest of the process.
-fn accept_backoff(err: &std::io::Error) -> Duration {
-    match err.kind() {
-        ErrorKind::Interrupted | ErrorKind::ConnectionAborted => Duration::ZERO,
-        // The listener is nonblocking: nobody is waiting.
-        ErrorKind::WouldBlock => Duration::from_millis(5),
-        // Resource exhaustion (fds, memory, buffers) and anything else:
-        // back off so the loop does not spin while it lasts.
-        _ => Duration::from_millis(50),
+/// included) for the rest of the process. Every error, `WouldBlock` on
+/// the nonblocking listener included, waits 5 ms before the next try.
+fn accept_loop<S>(
+    shutdown: &AtomicBool,
+    mut accept: impl FnMut() -> std::io::Result<S>,
+    mut serve: impl FnMut(S),
+) {
+    while !shutdown.load(Ordering::SeqCst) {
+        match accept() {
+            Ok(stream) => serve(stream),
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
     }
 }
 
@@ -424,7 +423,7 @@ fn serve_connection(server: &ReputationServer, stream: TcpStream) -> std::io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{ErrorKind, Read};
 
     use softrep_core::clock::SimClock;
     use softrep_core::db::ReputationDb;
@@ -617,26 +616,28 @@ mod tests {
     }
 
     #[test]
-    fn accept_errors_back_off_briefly_and_keep_accepting() {
-        let errors = [
-            std::io::Error::from(ErrorKind::ConnectionAborted),
-            std::io::Error::from(ErrorKind::Interrupted),
-            std::io::Error::from(ErrorKind::WouldBlock),
-            std::io::Error::from(ErrorKind::OutOfMemory),
+    fn accept_errors_do_not_end_the_accept_loop() {
+        let shutdown = AtomicBool::new(false);
+        let mut script = vec![
+            Err(std::io::Error::from(ErrorKind::ConnectionAborted)),
+            Err(ErrorKind::Interrupted.into()),
+            Err(ErrorKind::WouldBlock.into()),
+            Err(ErrorKind::OutOfMemory.into()),
             // EMFILE and ENFILE (per-process and system fd tables full)
             // and ENOBUFS, as Linux's accept(2) reports them.
-            std::io::Error::from_raw_os_error(24),
-            std::io::Error::from_raw_os_error(23),
-            std::io::Error::from_raw_os_error(105),
-            std::io::Error::other("anything else"),
-        ];
-        for err in &errors {
-            let delay = accept_backoff(err);
-            assert!(delay <= Duration::from_millis(50), "{err} backs off {delay:?}");
-        }
-        for kind in [ErrorKind::ConnectionAborted, ErrorKind::Interrupted] {
-            assert_eq!(accept_backoff(&kind.into()), Duration::ZERO, "{kind:?} retries at once");
-        }
+            Err(std::io::Error::from_raw_os_error(24)),
+            Err(std::io::Error::from_raw_os_error(23)),
+            Err(std::io::Error::from_raw_os_error(105)),
+            Ok("the connection after the errors"),
+        ]
+        .into_iter();
+        let mut served = Vec::new();
+        let accept = || script.next().expect("the loop accepts only until it is shut down");
+        accept_loop(&shutdown, accept, |stream| {
+            served.push(stream);
+            shutdown.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(served, ["the connection after the errors"]);
     }
 
     #[test]
